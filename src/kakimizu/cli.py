@@ -176,8 +176,6 @@ def _cmd_links(args) -> int:
 def _cmd_klarge(args) -> int:
     system = _load(args.file)
     X = build_complex(system, max_dim=3)
-    if args.k < 4:
-        raise SystemFormatError("k must be at least 4")
     ok, witness = is_k_large(X, args.k)
     if ok:
         print(f"{args.k}-large: true")

@@ -20,7 +20,7 @@ class FlagComplex:
 
     Cliques are materialized up to ``max_dim`` (default 3: enough for
     2-skeleton homology plus detection of dimension 3).  Instances are
-    immutable after construction; every query is read-only.
+    immutable; derived facts are computed once, shared, and never mutated.
     """
 
     def __init__(self, vertices, edges, max_dim: int = 3):
@@ -45,6 +45,9 @@ class FlagComplex:
         self._adj = {v: tuple(sorted(adj[v])) for v in vs}
         self._adjset = {v: frozenset(adj[v]) for v in vs}
         self._simplices = self._materialize()
+        self._distances = {}
+        self._link_cycles = {}
+        self._h1 = None
 
     def _materialize(self):
         levels = [tuple((v,) for v in self.vertices)]
@@ -125,7 +128,9 @@ class FlagComplex:
     def distances_from(self, source) -> dict:
         """BFS levels from ``source`` over vertices and edges only."""
         self.require_vertex(source)
-        dist = {source: 0}
+        if source in self._distances:
+            return self._distances[source]
+        dist = self._distances[source] = {source: 0}
         queue = deque([source])
         while queue:
             x = queue.popleft()
@@ -138,10 +143,7 @@ class FlagComplex:
 
     def distance(self, u, v) -> int | None:
         """Minimal number of edges in a path from u to v; None if unreachable."""
-        self.require_vertex(u)
         self.require_vertex(v)
-        if u == v:
-            return 0
         return self.distances_from(u).get(v)
 
     def shortest_path(self, u, v) -> tuple | None:
@@ -173,6 +175,13 @@ class FlagComplex:
         s = self.require_simplex(simplex)
         return self.induced(self.common_neighbors(*s))
 
+    def link_cycles(self, v, length: int) -> tuple:
+        """Induced ``length``-cycles of the link of vertex ``v``, in scan order."""
+        key = (v, length)
+        if key not in self._link_cycles:
+            self._link_cycles[key] = tuple(induced_cycles(self.link((v,)), length))
+        return self._link_cycles[key]
+
     def residue(self, simplex) -> "FlagComplex":
         """Closure of all simplices containing ``simplex``: the join of the
         simplex with its link."""
@@ -181,11 +190,13 @@ class FlagComplex:
 
 
 def build_complex(system, max_dim: int = 3) -> FlagComplex:
-    """Disjointness complex of a surface system: edges join pairs whose
-    intersection pattern is empty; faces are the cliques."""
-    ids = system.vertex_ids()
-    edges = [(u, v) for u, v in itertools.combinations(ids, 2) if system.disjoint(u, v)]
-    return FlagComplex(ids, edges, max_dim=max_dim)
+    """Disjointness complex of a surface system, built once per ``max_dim``:
+    edges join pairs whose intersection pattern is empty; faces are cliques."""
+    if max_dim not in system._complexes:
+        ids = system.vertex_ids()
+        edges = [(u, v) for u, v in itertools.combinations(ids, 2) if system.disjoint(u, v)]
+        system._complexes[max_dim] = FlagComplex(ids, edges, max_dim=max_dim)
+    return system._complexes[max_dim]
 
 
 # -- cycle enumeration ----------------------------------------------------
@@ -263,33 +274,29 @@ def induced_cycles(X: FlagComplex, length: int):
 def is_k_large(X: FlagComplex, k: int):
     """Diagonal-criterion largeness test.
 
-    True iff every embedded cycle of length ``4 <= L < k`` in the complex and
-    in every simplex link has a diagonal, i.e. no induced short cycle exists
-    (3-cycles always bound, by flagness).  On failure returns a diagonal-free
-    witness cycle.
+    True iff every embedded cycle of length ``4 <= L < k`` has a diagonal
+    (3-cycles always bound, by flagness).  Links are full subcomplexes and
+    need no scan of their own (Januszkiewicz-Swiatkowski 2006, section 1).
+    On failure returns a diagonal-free witness cycle.
     """
     if k < 4:
         raise ValueError("k must be at least 4")
     for length in range(4, k):
         for cycle in induced_cycles(X, length):
             return False, cycle
-    # links are induced subcomplexes, so any witness found here is also one
-    # in the complex itself; the scan localizes it
-    for s in X.simplices():
-        lk = X.link(s)
-        for length in range(4, k):
-            for cycle in induced_cycles(lk, length):
-                return False, cycle
     return True, None
 
 
 def is_locally_k_large(X: FlagComplex, k: int):
-    """Largeness of the residue of every simplex.  On failure the witness
-    records both the offending simplex and the diagonal-free cycle."""
-    for s in X.simplices():
-        ok, cycle = is_k_large(X.residue(s), k)
-        if not ok:
-            return False, {"simplex": s, "cycle": cycle}
+    """Largeness of every simplex residue: an induced 4- to (k-1)-cycle of a
+    residue misses the simplex, so it is induced in a vertex link (J-S section
+    1); only vertex links are scanned, and the witness names that vertex."""
+    if k < 4:
+        raise ValueError("k must be at least 4")
+    for v in X.vertices:
+        for length in range(4, k):
+            for cycle in X.link_cycles(v, length):
+                return False, {"simplex": (v,), "cycle": cycle}
     return True, None
 
 
@@ -320,8 +327,10 @@ def homology_h1(X: FlagComplex) -> H1Structure:
     Requires the 2-skeleton, i.e. a complex built with ``max_dim >= 2``."""
     if X.max_dim < 2:
         raise ValueError("homology needs the 2-skeleton; rebuild with max_dim >= 2")
-    d1, d2 = boundary_matrices(X)
-    return homology_from_boundaries(len(X.edges), d1, d2)
+    if X._h1 is None:
+        d1, d2 = boundary_matrices(X)
+        X._h1 = homology_from_boundaries(len(X.edges), d1, d2)
+    return X._h1
 
 
 class ContractibilityReport:

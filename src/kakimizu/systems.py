@@ -97,6 +97,8 @@ class SurfaceSystem:
                 raise SystemFormatError(f"pattern pair {key!r}: " + "; ".join(problems))
             pats[(u, v)] = pat
         self._patterns = pats
+        self._numbers = {}     # canonical pair -> (spread, intersection): dualize keeps both
+        self._complexes = {}   # max_dim -> FlagComplex, filled by build_complex
         self._dcs = dcs
         self.strict_descent = bool(strict_descent)
 
@@ -129,10 +131,17 @@ class SurfaceSystem:
         return self.pattern(u, v).is_empty()
 
     def spread(self, u, v) -> int:
-        return covering_spread(self.pattern(u, v))
+        return self._pair_numbers(u, v)[0]
 
     def intersection(self, u, v) -> int:
-        return intersection_number(self.pattern(u, v))
+        return self._pair_numbers(u, v)[1]
+
+    def _pair_numbers(self, u, v) -> tuple:
+        key = canonical_pair(u, v)
+        if key not in self._numbers:
+            pat = self.pattern(*key)
+            self._numbers[key] = (covering_spread(pat), intersection_number(pat))
+        return self._numbers[key]
 
     def stored_patterns(self) -> dict:
         return dict(self._patterns)
@@ -470,16 +479,16 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
 
     Repeatedly pick a vertex of maximal complexity.  If its cycle neighbors
     are disjoint, cut the corner.  Otherwise the neighbors are at distance 2,
-    so their covering spread is 1 and the double curve sum hands back vertices
+    so their covering spread must be 1 and the double curve sum returns vertices
     disjoint from both; substitute the cheaper one (a detour-then-cut pair of
     moves) and descend.  With ``strict_descent`` the complexity sum strictly
     drops at every substitution; other backends run under a step budget and
-    may return an inconclusive trace.
+    may return an inconclusive trace, as does a table breaking d = cs + 1.
 
     Without a double curve sum backend this degrades to the generic bounded
     search of :func:`~kakimizu.homotopy.reduce_cycle_homotopy`.
     """
-    X = complex if complex is not None else build_complex(system, max_dim=1)
+    X = complex if complex is not None else build_complex(system)
     start = validate_cycle(X, cycle)
     if not system.supports_dcs:
         return reduce_cycle_homotopy(X, start, max_len=2 * len(start) + 2,
@@ -505,9 +514,9 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
                 progressed = True
                 break
             if system.spread(a, b) != 1:
-                # distance-2 neighbors should have spread 1; anything else is
-                # an inconsistent pattern table, so skip this corner
-                continue
+                return HomotopyResult(False, start, tuple(moves), c, steps,
+                                      f"inconsistent pattern table: {a!r} and {b!r} are at "
+                                      f"distance 2 but have spread {system.spread(a, b)}")
             minus, plus = double_curve_sum(system, a, b)
             candidates = sorted({minus, plus}, key=lambda x: (system.complexity(x), x))
             old = c[i]

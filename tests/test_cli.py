@@ -190,3 +190,15 @@ def test_cli_outputs_are_byte_identical(capsys, lattice_file):
     g1 = run_cli(capsys, "geodesic", lattice_file, "-u", "0_0", "-v", "4_4")
     g2 = run_cli(capsys, "geodesic", lattice_file, "-u", "0_0", "-v", "4_4")
     assert g1 == g2
+
+
+def test_verify_girth_budget_stop_is_not_a_failure(capsys, tmp_path):
+    # cone over a square with one diagonal: every vertex link is 6-large,
+    # so a one-step budget must not turn the girth check into a failure
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]
+    path = tmp_path / "cone.json"
+    path.write_text(kk.save_system(kk.graph_to_system(5, edges)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "girth",
+                           "--max-steps", "1")
+    assert code == 0
+    assert out.endswith("overall: pass\n")

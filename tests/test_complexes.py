@@ -3,6 +3,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, strategies as st
 
 import kakimizu as kk
 from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
@@ -249,6 +250,59 @@ def test_locally_k_large_examples(lattice5):
     ok, witness = kk.is_locally_k_large(cone, 5)
     assert not ok
     assert witness["cycle"] == ("a", "b", "c", "d")
+
+
+@st.composite
+def flag_complexes(draw):
+    """Clique complex of a random graph on up to 9 vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FlagComplex(range(n), [e for e, k in zip(pairs, keep) if k], max_dim=3)
+
+
+def chordless(G, max_len):
+    """Chordless cycles of 4..max_len vertices in a networkx graph."""
+    return [c for c in nx.chordless_cycles(G, length_bound=max_len) if len(c) >= 4]
+
+
+def wheel(rim):
+    """Cone with apex ``rim`` over a diagonal-free ``rim``-gon."""
+    edges = [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)]
+    return FlagComplex(range(rim + 1), edges, max_dim=3)
+
+
+@given(flag_complexes(), st.sampled_from([5, 6, 7]))
+@example(wheel(5), 6)
+@example(wheel(6), 7)
+def test_locally_k_large_matches_residue_oracle(X, k):
+    # oracle: scan the residue of every clique, not just vertex links
+    G = complex_to_nx(X)
+    expected = True
+    for clique in nx.enumerate_all_cliques(G):
+        common = set.intersection(*(set(G[v]) for v in clique))
+        if chordless(G.subgraph(set(clique) | common), k - 1):
+            expected = False
+            break
+    ok, witness = kk.is_locally_k_large(X, k)
+    assert ok == expected
+    if not ok:
+        cycle = witness["cycle"]
+        assert 4 <= len(cycle) < k
+        assert kk.canonical_cycle(cycle) in {kk.canonical_cycle(c) for c in chordless(G, k - 1)}
+
+
+@given(flag_complexes())
+@example(wheel(5))
+def test_link_girth_failures_are_the_chordless_link_cycles(X):
+    G = complex_to_nx(X)
+    expected = {(v, kk.canonical_cycle(c))
+                for v in X.vertices for c in chordless(G.subgraph(G[v]), 5)}
+    report = kk.verify_link_girth(X)
+    found = [(f["link_of"], kk.canonical_cycle(f["cycle"])) for f in report.failures]
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+    assert all(f["problem"] == "diagonal-free short cycle" for f in report.failures)
 
 
 # -- homology ----------------------------------------------------------------

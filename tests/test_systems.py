@@ -389,3 +389,21 @@ def test_reduction_budget_reports_inconclusive(hexagon_system):
     result = kakimizu_null_homotopy(hexagon_system, ring, max_steps=3)
     assert not result.reduced
     assert result.reason
+
+
+def test_descent_reports_inconsistent_pattern_table():
+    # square a-b-c-d whose diagonal pairs sit at distance 2 yet carry spread 2
+    spread_two = OffsetPattern(1, (1, 1))
+
+    def no_sum(system, u, v):
+        pytest.fail("the descent must stop before summing an inconsistent pair")
+
+    system = SurfaceSystem([("a", (0, 0)), ("b", (5, 0)), ("c", (0, 0)), ("d", (1, 0))],
+                           {("a", "c"): spread_two, ("b", "d"): spread_two},
+                           dcs=no_sum, strict_descent=True)
+    square = ("a", "b", "c", "d")
+    result = kakimizu_null_homotopy(system, square)
+    assert not result.reduced
+    assert result.final == square
+    assert result.reason == ("inconsistent pattern table: 'a' and 'c' are at "
+                             "distance 2 but have spread 2")

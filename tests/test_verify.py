@@ -3,7 +3,9 @@ import json
 import pytest
 
 import kakimizu as kk
-from kakimizu import (ReductionBounds, build_complex, run_suite,
+import kakimizu.homology
+import kakimizu.verify
+from kakimizu import (FlagComplex, ReductionBounds, build_complex, run_suite,
                       verify_contractible_2d, verify_cs_le_i,
                       verify_distance_theorem, verify_link_girth,
                       verify_residues_sc, verify_simple_connectivity,
@@ -145,3 +147,53 @@ def test_bounds_are_overridable(lattice5):
     report = verify_simple_connectivity(lattice5, tight)
     # 3- and 4-cycles only, and the tiny budget may leave some unresolved
     assert report.verdict in ("pass", "inconclusive")
+
+
+def _unreplayable(X, cycle, max_len=None, max_steps=100_000):
+    # claims success with a move that either fails to apply (no diagonal) or
+    # leaves an edge behind instead of the constant cycle
+    start = tuple(cycle)
+    return kk.HomotopyResult(True, start, (("shorten", 0),), (start[0],), 1, "claimed")
+
+
+def test_residue_reductions_must_replay(monkeypatch):
+    monkeypatch.setattr(kakimizu.verify, "reduce_cycle_homotopy", _unreplayable)
+    X = FlagComplex("abc", [("a", "b"), ("b", "c"), ("a", "c")], max_dim=3)
+    report = verify_residues_sc(X)
+    assert report.verdict == "fail"
+    assert len(report.failures) == report.instances > 0
+    assert all(f["problem"] == "witness failed to replay" for f in report.failures)
+
+
+def test_simple_connectivity_reductions_must_replay(monkeypatch, hexagon_system):
+    monkeypatch.setattr(kakimizu.verify, "reduce_cycle_homotopy", _unreplayable)
+    loaded = kk.load_system(kk.save_system(hexagon_system))   # no descent backend
+    report = verify_simple_connectivity(loaded)
+    ring = [f"g{i}" for i in range(6)]
+    assert {"cycle": ring, "problem": "witness failed to replay"} in report.failures
+    assert not report.inconclusive
+
+
+def test_run_suite_computes_each_fact_once(monkeypatch):
+    system = kk.lattice_model(5, 5)
+    ids = set(system.vertex_ids())
+    snf_calls, full_builds = [], []
+    real_snf = kakimizu.homology.smith_invariants
+    real_init = FlagComplex.__init__
+
+    def counting_snf(rows):
+        snf_calls.append(len(rows))
+        return real_snf(rows)
+
+    def counting_init(self, vertices, edges, max_dim=3):
+        vertices = list(vertices)
+        if set(vertices) == ids:
+            full_builds.append(max_dim)
+        real_init(self, vertices, edges, max_dim)
+
+    monkeypatch.setattr(kakimizu.homology, "smith_invariants", counting_snf)
+    monkeypatch.setattr(FlagComplex, "__init__", counting_init)
+    report = run_suite(system, "all")
+    assert report.verdict == "pass"
+    assert len(snf_calls) == 2   # d1 and d2, once each
+    assert full_builds == [3]
