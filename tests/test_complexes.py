@@ -3,9 +3,11 @@ import random
 
 import networkx as nx
 import pytest
+import sympy
 from hypothesis import example, given, strategies as st
 
 import kakimizu as kk
+import kakimizu.homology
 from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
 
 from conftest import complex_to_nx, random_graph_systems
@@ -331,6 +333,79 @@ def test_h1_of_wedge_of_circles():
              ("a", "p"), ("p", "q"), ("q", "r"), ("r", "a")]
     X = FlagComplex("abcdpqr", edges, max_dim=2)
     assert kk.homology_h1(X) == kk.H1Structure(2)
+
+
+@st.composite
+def graph_systems(draw):
+    """``graph_to_system`` on a random connected graph of up to 9 vertices."""
+    n = draw(st.integers(2, 9))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return kk.graph_to_system(n, tree + [p for p, k in zip(pairs, keep) if k])
+
+
+@given(graph_systems())
+def test_h1_free_rank_matches_clique_complex_b1(system):
+    # oracle: b1 = E - V + components - rank d2, from networkx cliques and a
+    # sympy rank of d2
+    X = build_complex(system, max_dim=3)
+    G = complex_to_nx(X)
+    edges = sorted(tuple(sorted(e)) for e in G.edges())
+    index = {e: i for i, e in enumerate(edges)}
+    tris = [tuple(sorted(c)) for c in nx.enumerate_all_cliques(G) if len(c) == 3]
+    rank = 0
+    if tris:
+        d2 = sympy.zeros(len(edges), len(tris))
+        for j, (a, b, c) in enumerate(tris):
+            d2[index[(b, c)], j] = 1
+            d2[index[(a, c)], j] = -1
+            d2[index[(a, b)], j] = 1
+        rank = d2.rank()
+    b1 = len(edges) - G.number_of_nodes() + nx.number_connected_components(G) - rank
+    assert kk.homology_h1(X).free_rank == b1
+
+
+# the 6-vertex real projective plane (hemi-icosahedron)
+RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                 (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+
+
+def flag_rp2():
+    """Barycentric subdivision of the 6-vertex RP^2, as a graph system: the
+    order complex of a face poset is a flag complex."""
+    faces = sorted({frozenset(f) for t in RP2_TRIANGLES
+                    for r in (1, 2, 3) for f in itertools.combinations(t, r)},
+                   key=lambda f: (len(f), sorted(f)))
+    index = {f: i for i, f in enumerate(faces)}
+    edges = [(index[f], index[g]) for f in faces for g in faces if f < g]
+    return kk.graph_to_system(len(faces), edges)
+
+
+def test_h1_of_flag_rp2_is_z2():
+    X = build_complex(flag_rp2(), max_dim=3)
+    assert (len(X.vertices), len(X.edges), len(X.simplices(2)), X.dim) == (31, 90, 60, 2)
+    assert kk.homology_h1(X) == kk.H1Structure(0, (2,))
+    assert str(kk.homology_h1(X)) == "Z/2"
+    rep = kk.contractibility_report(X)
+    assert rep.conclusion == "no conclusion from this criterion"
+    assert "H1 = Z/2 is nontrivial" in rep.reasons
+
+
+def test_lattice_d2_collapses_before_the_dense_snf(monkeypatch):
+    # the triangulated grid is a collapsible disc: unit pivots empty d1 and d2
+    # completely, so the dense elimination gets nothing to do
+    dense_rows = []
+    real_dense = kakimizu.homology._dense_invariants
+
+    def spy(A):
+        dense_rows.append(len(A))
+        return real_dense(A)
+
+    monkeypatch.setattr(kakimizu.homology, "_dense_invariants", spy)
+    X = build_complex(kk.lattice_model(12, 12), max_dim=3)
+    assert kk.homology_h1(X).is_trivial()
+    assert dense_rows == [0, 0]
 
 
 def test_h1_needs_two_skeleton():

@@ -23,6 +23,21 @@ def test_smith_invariants_match_sympy(rows):
     assert sorted(smith_invariants(rows)) == sympy_invariants(rows)
 
 
+@st.composite
+def boundary_like_matrices(draw):
+    """Up to 20 x 20, mostly 0 and +-1 with some +-2: the unit pivots run on
+    the sparse rows, and rows left with no +-1 entry reach the dense remainder."""
+    m = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 20))
+    entry = st.sampled_from([0, 0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2])
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@given(boundary_like_matrices())
+def test_smith_invariants_match_sympy_on_sparse_matrices(rows):
+    assert sorted(smith_invariants(rows)) == sympy_invariants(rows)
+
+
 @given(int_matrices())
 def test_smith_invariants_form_divisibility_chain(rows):
     inv = smith_invariants(rows)
