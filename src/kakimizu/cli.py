@@ -13,7 +13,7 @@ import random
 import sys
 
 from .complexes import build_complex, homology_h1, is_k_large, simplex_listing, to_dot
-from .homotopy import reduce_cycle_homotopy
+from .homotopy import _replays_to_point, reduce_cycle_homotopy
 from .patterns import PatternError
 from .systems import (BackendContractError, SystemFormatError, UnsupportedBackend,
                       geodesic, graph_to_system, lattice_model, line_model,
@@ -201,6 +201,9 @@ def _cmd_reduce(args) -> int:
     except ValueError as exc:
         raise SystemFormatError(str(exc)) from None
     if result.reduced:
+        if not _replays_to_point(X, cycle, result):
+            print("failed: witness failed to replay")
+            return EXIT_FAIL
         print(f"reduced in {len(result.moves)} moves ({result.reason})")
         for mv in result.moves:
             print(" ".join(str(x) for x in mv))

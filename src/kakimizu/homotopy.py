@@ -11,8 +11,12 @@ moves generate edge-path homotopy in a flag complex:
 * ``("lengthen", i, v)`` is the inverse cut: detour through ``v`` between
   ``c[i]`` and ``c[i+1]``.
 
-Reduction searches this move graph.  Success certificates replay
-move-by-move; an inconclusive result proves nothing about the cycle.
+Reduction searches this move graph.  The search builds only moves that are
+legal by construction (a corner it found retraced, a diagonal or detour it
+found with ``has_edge``/``common_neighbors``) and applies them by slicing,
+without re-validating them; ``replay`` is the one validator, and every
+success certificate must pass it move-by-move.  An inconclusive result
+proves nothing about the cycle.
 """
 from __future__ import annotations
 
@@ -85,6 +89,36 @@ def replay(X, cycle, moves) -> tuple:
     return c
 
 
+def _replays_to_point(X, start, result) -> bool:
+    """Whether ``result.moves`` replays from ``start`` to ``result.final`` and
+    that is a constant cycle; a move that fails to apply counts as no."""
+    try:
+        return replay(X, start, result.moves) == result.final and len(result.final) <= 1
+    except ValueError:
+        return False
+
+
+def _apply_unchecked(c, move) -> tuple:
+    """Apply a move known to be legal for the tuple ``c`` by slicing, with no
+    precondition checks.  Only the search calls this, on moves it built
+    itself; ``apply_move`` stays the independent checker."""
+    L = len(c)
+    kind, i = move[0], move[1]
+    if kind == "backtrack":
+        if L == 2:
+            return (c[i],)
+        if i == L - 2:        # erases c[L-1] and c[0]
+            return c[1:-1]
+        if i == L - 1:        # erases c[0] and c[1]
+            return c[2:]
+        return c[: i + 1] + c[i + 3:]
+    if kind == "shorten":
+        if i == L - 1:        # cuts c[0]
+            return c[1:]
+        return c[: i + 1] + c[i + 2:]
+    return c[: i + 1] + (move[2],) + c[i + 1:]
+
+
 def normalize_cycle(X, cycle):
     """Erase retraced edges until none remain.  Returns (cycle, moves)."""
     c = tuple(cycle)
@@ -95,13 +129,13 @@ def normalize_cycle(X, cycle):
             break
         if L == 2:
             mv = ("backtrack", 0)
-            c = apply_move(X, c, mv)
+            c = _apply_unchecked(c, mv)
             moves.append(mv)
             continue
         for i in range(L):
             if c[i] == c[(i + 2) % L]:
                 mv = ("backtrack", i)
-                c = apply_move(X, c, mv)
+                c = _apply_unchecked(c, mv)
                 moves.append(mv)
                 break
         else:
@@ -110,18 +144,15 @@ def normalize_cycle(X, cycle):
 
 
 def canonical_cycle(cycle) -> tuple:
-    """Least rotation over both orientations; the hash key for search states."""
+    """Least rotation over both orientations; the hash key for search states.
+    The least rotation starts at an occurrence of the least vertex, so only
+    those rotations are compared."""
     c = tuple(cycle)
     L = len(c)
     if L <= 1:
         return c
-    best = None
-    for d in (c, tuple(reversed(c))):
-        for r in range(L):
-            cand = d[r:] + d[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
+    m = min(c)
+    return min(d[r:] + d[:r] for d in (c, c[::-1]) for r in range(L) if d[r] == m)
 
 
 @dataclass(frozen=True)
@@ -131,7 +162,8 @@ class HomotopyResult:
     When ``reduced`` is true, ``moves`` replays from ``start`` down to the
     constant cycle ``final``.  Otherwise ``moves`` is still a valid homotopy
     trace from ``start`` to ``final``, and ``reason`` says why the search
-    stopped; this never certifies nontriviality.
+    stopped; this never certifies nontriviality.  The search applies its
+    moves without re-validating them, so only ``replay`` certifies either.
     """
 
     reduced: bool
@@ -168,7 +200,7 @@ def _greedy_descend(X, c, budget):
         applied = False
         for i in _shorten_candidates(X, c):
             mv = ("shorten", i)
-            c2, extra = normalize_cycle(X, apply_move(X, c, mv))
+            c2, extra = normalize_cycle(X, _apply_unchecked(c, mv))
             c = c2
             moves += [mv] + extra
             applied = True
@@ -182,9 +214,9 @@ def _greedy_descend(X, c, budget):
                 if v in (c[i], c[j], c[k]) or not X.has_edge(v, c[k]):
                     continue
                 mv1 = ("lengthen", j, v)
-                c1 = apply_move(X, c, mv1)
+                c1 = _apply_unchecked(c, mv1)
                 mv2 = ("shorten", i if i < j else L)
-                c2, extra = normalize_cycle(X, apply_move(X, c1, mv2))
+                c2, extra = normalize_cycle(X, _apply_unchecked(c1, mv2))
                 key = canonical_cycle(c2)
                 if key in seen:
                     continue
@@ -206,7 +238,7 @@ def _one_move_neighbors(X, c, max_len):
     L = len(c)
     for i in _shorten_candidates(X, c):
         mv = ("shorten", i)
-        nc, extra = normalize_cycle(X, apply_move(X, c, mv))
+        nc, extra = normalize_cycle(X, _apply_unchecked(c, mv))
         out.append(([mv] + extra, nc))
     if L + 1 <= max_len:
         for i in range(L):
@@ -215,7 +247,7 @@ def _one_move_neighbors(X, c, max_len):
                 if v in (c[i], c[j]):
                     continue
                 mv = ("lengthen", i, v)
-                nc, extra = normalize_cycle(X, apply_move(X, c, mv))
+                nc, extra = normalize_cycle(X, _apply_unchecked(c, mv))
                 out.append(([mv] + extra, nc))
     return out
 

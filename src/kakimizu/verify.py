@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (FlagComplex, build_complex, contractibility_report,
                         embedded_cycles, homology_h1)
-from .homotopy import reduce_cycle_homotopy, replay
+from .homotopy import _replays_to_point, reduce_cycle_homotopy
 from .systems import SurfaceSystem, kakimizu_null_homotopy
 
 
@@ -164,11 +164,7 @@ def _check_reduction(report: ClaimReport, X, cycle, result, where: dict) -> None
     if not result.reduced:
         report.inconclusive.append({**entry, "reason": result.reason})
         return
-    try:
-        replays = replay(X, cycle, result.moves) == result.final and len(result.final) <= 1
-    except ValueError:
-        replays = False
-    if not replays:
+    if not _replays_to_point(X, cycle, result):
         report.failures.append({**entry, "problem": "witness failed to replay"})
 
 

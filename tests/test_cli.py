@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 import kakimizu as kk
+import kakimizu.cli
 from kakimizu.cli import main
 
 
@@ -139,6 +141,42 @@ def test_reduce_subcommand(capsys, lattice_file, hexagon_file):
     assert out.startswith("inconclusive")
     code, _, err = run_cli(capsys, "reduce", lattice_file, "--cycle", "0_0,4_4")
     assert code == 2
+
+
+def _unreplayable(X, cycle, max_len=None, max_steps=100_000):
+    # claims success with a move that either fails to apply (no diagonal) or
+    # leaves an edge behind instead of the constant cycle
+    start = tuple(cycle)
+    return kk.HomotopyResult(True, start, (("shorten", 0),), (start[0],), 1, "claimed")
+
+
+def test_reduce_prints_only_certificates_that_replay(capsys, monkeypatch, lattice_file,
+                                                     hexagon_file):
+    monkeypatch.setattr(kakimizu.cli, "reduce_cycle_homotopy", _unreplayable)
+    for path, cycle in ((hexagon_file, "g0,g1,g2,g3,g4,g5"),
+                        (lattice_file, "0_0,0_1,1_1")):
+        code, out, _ = run_cli(capsys, "reduce", path, "--cycle", cycle)
+        assert (code, out) == (1, "failed: witness failed to replay\n")
+
+
+def test_budget_stopped_verify_output_is_pinned(capsys, tmp_path):
+    # 30 of this file's cycles stop unreduced, so any change to the search
+    # order or the budget accounting changes these bytes
+    path, report = tmp_path / "g.json", tmp_path / "g.report.json"
+    assert main(["gen", "graph", "--vertices", "12", "--seed", "6", "-o", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "all",
+                           "--max-cycle-len", "6", "--max-steps", "100", "--json", str(report))
+    assert code == 1
+
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert digest(path.read_bytes()) == (
+        "0f9a6d48f568529fadbf2a48a8e8224eacd75faff841fa794e34233e56bcffe5")
+    assert digest(out.encode()) == (
+        "4ff55145ab49032251d40a64885d89fce14f8a0de53b00a4839136b3ba2e4a52")
+    assert digest(report.read_bytes()) == (
+        "3c1df010d739922e18a3d33db84159e0b37d9bcb1f9f1d2cfa62c942a0323d02")
 
 
 def test_geodesic_subcommand(capsys, line_file):

@@ -1,8 +1,14 @@
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 import kakimizu as kk
 from kakimizu import (FlagComplex, apply_move, build_complex, canonical_cycle,
                       normalize_cycle, reduce_cycle_homotopy, replay, validate_cycle)
+from kakimizu.cli import main
+from kakimizu.homotopy import _apply_unchecked
 
 
 def triangle():
@@ -144,3 +150,85 @@ def test_backtracking_walk_reduces_for_free():
     result = reduce_cycle_homotopy(X, ("u2", "u3", "u4", "u3"))
     assert result.reduced
     assert result.essential_moves == 0
+
+
+def test_unreduced_traces_replay_to_their_final_cycle(tmp_path):
+    # loaded from its file, the system has no descent backend, so this is the
+    # generic search that verify runs; its cycles hit both kinds of stop
+    path = tmp_path / "g.json"
+    assert main(["gen", "graph", "--vertices", "12", "--seed", "6", "-o", str(path)]) == 0
+    X = build_complex(kk.load_system(path.read_text(encoding="utf-8")))
+    stopped = [r for r in (reduce_cycle_homotopy(X, c, max_len=12, max_steps=100)
+                           for c in kk.embedded_cycles(X, 6)) if not r.reduced]
+    assert Counter(r.reason for r in stopped) == {
+        "step budget exhausted": 12, "move space exhausted within max_len": 18}
+    for r in stopped:
+        assert replay(X, r.start, r.moves) == r.final
+
+
+# -- the search's unchecked move kernel against apply_move --------------------
+
+
+@st.composite
+def complexes_with_cycles(draw):
+    """A ``graph_to_system`` flag complex on a random connected graph, and a
+    closed walk in it: a random walk closed by a geodesic back to its start,
+    so it may retrace edges and revisit vertices."""
+    n = draw(st.integers(2, 8))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    X = build_complex(kk.graph_to_system(n, tree + [p for p, k in zip(pairs, keep) if k]))
+    walk = [draw(st.sampled_from(sorted(X.vertices)))]
+    for _ in range(draw(st.integers(1, 9))):
+        walk.append(draw(st.sampled_from(sorted(X.neighbors(walk[-1])))))
+    if walk[-1] == walk[0]:
+        return X, tuple(walk[:-1])
+    return X, tuple(walk) + X.shortest_path(walk[-1], walk[0])[1:-1]
+
+
+K4 = FlagComplex("abcd", list(itertools.combinations("abcd", 2)), max_dim=3)
+
+
+@given(complexes_with_cycles())
+@example((K4, ("a", "b", "a", "c")))        # backtrack at L-2 erases c[L-1], c[0]
+@example((K4, ("a", "b", "c", "b")))        # backtrack at L-1 erases c[0], c[1]
+@example((K4, ("a", "b")))                  # a retraced edge, either index
+@example((K4, ("a", "b", "c")))             # shorten at L-1 cuts c[0]
+@example((K4, ("a", "d", "b", "c")))        # a detour's ("shorten", L) after lengthen
+def test_unchecked_kernel_matches_apply_move(case):
+    X, c = case
+    validate_cycle(X, c)
+    vertices = sorted(X.vertices)
+    cycles = [c]
+    for i in range(len(c)):     # one lengthen deep, as a detour's shorten sees it
+        j = (i + 1) % len(c)
+        for v in X.common_neighbors(c[i], c[j])[:1]:
+            cycles.append(apply_move(X, c, ("lengthen", i, v)))
+    for cyc in cycles:
+        L = len(cyc)
+        moves = [(kind, i) for kind in ("backtrack", "shorten") for i in range(L)]
+        moves += [("lengthen", i, v) for i in range(L) for v in vertices]
+        for mv in moves:
+            try:
+                expected = apply_move(X, cyc, mv)
+            except ValueError:
+                continue
+            assert _apply_unchecked(cyc, mv) == expected, (cyc, mv)
+
+
+@st.composite
+def cycles_with_repeated_least_vertex(draw):
+    """Vertex sequences whose least vertex occurs two or three times, as after
+    a lengthen that detours through it."""
+    c = draw(st.lists(st.integers(1, 5), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(2, 3))):
+        c.insert(draw(st.integers(0, len(c))), 0)
+    return tuple(c)
+
+
+@given(st.one_of(st.lists(st.integers(0, 9), min_size=1, max_size=12).map(tuple),
+                 cycles_with_repeated_least_vertex()))
+def test_canonical_cycle_is_the_least_of_all_rotations(c):
+    rotations = [d[r:] + d[:r] for d in (c, c[::-1]) for r in range(len(c))]
+    assert canonical_cycle(c) == min(rotations)
