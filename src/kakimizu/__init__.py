@@ -6,7 +6,8 @@ from .patterns import (EMPTY_PATTERN, OffsetPattern, PatternError,
                        validate_pattern)
 from .complexes import (FlagComplex, build_complex, contractibility_report,
                         embedded_cycles, homology_h1, induced_cycles,
-                        is_k_large, is_locally_k_large, simplex_listing, to_dot)
+                        is_k_large, is_locally_k_large, mod2_cocycles,
+                        simplex_listing, to_dot)
 from .homology import H1Structure, smith_invariants
 from .homotopy import (HomotopyResult, apply_move, canonical_cycle,
                        normalize_cycle, reduce_cycle_homotopy, replay,

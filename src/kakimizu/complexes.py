@@ -48,6 +48,7 @@ class FlagComplex:
         self._distances = {}
         self._link_cycles = {}
         self._h1 = None
+        self._cocycles = None
 
     def _materialize(self):
         levels = [tuple((v,) for v in self.vertices)]
@@ -331,6 +332,59 @@ def homology_h1(X: FlagComplex) -> H1Structure:
         d1, d2 = boundary_matrices(X)
         X._h1 = homology_from_boundaries(len(X.edges), d1, d2)
     return X._h1
+
+
+def mod2_cocycles(X: FlagComplex) -> tuple:
+    """Basis of H^1(X; Z/2): one tuple of sorted edges per cocycle, the edges
+    where it takes the value 1.  Requires the 2-skeleton.
+
+    Each class has exactly one cocycle vanishing on a spanning forest, so the
+    unknowns are the edges outside a BFS forest, and each triangle asks that
+    its unknowns sum to 0.  GF(2) elimination of those constraints, with rows
+    as Python int bitsets kept in reduced form, leaves one free unknown per
+    basis member: dim H^1(X; Z/2) = free rank + number of even torsion factors.
+    """
+    if X.max_dim < 2:
+        raise ValueError("cohomology needs the 2-skeleton; rebuild with max_dim >= 2")
+    if X._cocycles is None:
+        forest = set()
+        seen = set()
+        for root in X.vertices:
+            if root in seen:
+                continue
+            dist = X.distances_from(root)
+            seen.update(dist)
+            for v, d in dist.items():
+                if d:
+                    w = next(w for w in X._adj[v] if dist[w] == d - 1)
+                    forest.add((w, v) if w < v else (v, w))
+        unknowns = sorted(X.edges - forest)
+        bit = {e: 1 << i for i, e in enumerate(unknowns)}
+        rows = {}  # pivot bit -> row; no row holds another row's pivot
+        for u, v, w in X.simplices(2):
+            row = bit.get((u, v), 0) ^ bit.get((u, w), 0) ^ bit.get((v, w), 0)
+            for p, r in rows.items():
+                if row & p:
+                    row ^= r
+            if row:
+                p = row & -row
+                for q, r in rows.items():
+                    if r & p:
+                        rows[q] = r ^ row
+                rows[p] = row
+        cocycles = []
+        for i, e in enumerate(unknowns):
+            free = 1 << i
+            if free in rows:
+                continue
+            # set this free unknown, the others to 0, and solve for the pivots
+            x = free
+            for p, r in rows.items():
+                if r & free:
+                    x |= p
+            cocycles.append(tuple(f for j, f in enumerate(unknowns) if x >> j & 1))
+        X._cocycles = tuple(cocycles)
+    return X._cocycles
 
 
 class ContractibilityReport:

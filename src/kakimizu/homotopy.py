@@ -16,7 +16,10 @@ legal by construction (a corner it found retraced, a diagonal or detour it
 found with ``has_edge``/``common_neighbors``) and applies them by slicing,
 without re-validating them; ``replay`` is the one validator, and every
 success certificate must pass it move-by-move.  An inconclusive result
-proves nothing about the cycle.
+proves nothing about the cycle.  The opposite certificate, that a cycle is
+not null-homotopic, is a mod-2 1-cocycle pairing odd with it; it is checked
+directly against the triangles of the complex, by ``_is_mod2_cocycle`` and
+``_pairs_odd``.
 """
 from __future__ import annotations
 
@@ -96,6 +99,25 @@ def _replays_to_point(X, start, result) -> bool:
         return replay(X, start, result.moves) == result.final and len(result.final) <= 1
     except ValueError:
         return False
+
+
+def _is_mod2_cocycle(X, cocycle) -> bool:
+    """Whether the edge set ``cocycle`` (sorted pairs) is a 1-cocycle of X
+    over Z/2: edges of X only, and an even number on each triangle's boundary."""
+    return cocycle <= X.edges and all(
+        (((u, v) in cocycle) + ((u, w) in cocycle) + ((v, w) in cocycle)) % 2 == 0
+        for u, v, w in X.simplices(2))
+
+
+def _pairs_odd(cocycle, cycle) -> bool:
+    """Whether the closed walk ``cycle`` crosses the edge set ``cocycle`` an
+    odd number of times.  For a checked cocycle that proves the cycle is not
+    null-homotopic: it is nonzero in H1(X; Z/2), hence in H1(X; Z), and
+    null-homotopic loops are null-homologous."""
+    c = tuple(cycle)
+    crossings = sum(((u, w) if u < w else (w, u)) in cocycle
+                    for u, w in zip(c, c[1:] + c[:1]))
+    return crossings % 2 == 1
 
 
 def _apply_unchecked(c, move) -> tuple:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .complexes import build_complex
-from .homotopy import (HomotopyResult, apply_move, normalize_cycle,
+from .homotopy import (HomotopyResult, _apply_unchecked, normalize_cycle,
                        reduce_cycle_homotopy, validate_cycle)
 from .patterns import (EMPTY_PATTERN, OffsetPattern, covering_spread, dualize,
                        intersection_number, validate_pattern)
@@ -484,6 +484,9 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
     moves) and descend.  With ``strict_descent`` the complexity sum strictly
     drops at every substitution; other backends run under a step budget and
     may return an inconclusive trace, as does a table breaking d = cs + 1.
+    The moves are legal by construction (a diagonal from ``disjoint``, a
+    detour vertex checked with ``has_edge``), so they are applied without
+    re-validation; ``replay`` alone certifies the result.
 
     Without a double curve sum backend this degrades to the generic bounded
     search of :func:`~kakimizu.homotopy.reduce_cycle_homotopy`.
@@ -508,7 +511,7 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
             a, b = c[(i - 1) % L], c[(i + 1) % L]
             if system.disjoint(a, b):
                 mv = ("shorten", (i - 1) % L)
-                c2, extra = normalize_cycle(X, apply_move(X, c, mv))
+                c2, extra = normalize_cycle(X, _apply_unchecked(c, mv))
                 c = c2
                 moves += [mv] + extra
                 progressed = True
@@ -526,9 +529,9 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
                 if not (X.has_edge(cand, a) and X.has_edge(cand, b)):
                     continue
                 mv1 = ("lengthen", i, cand)
-                c1 = apply_move(X, c, mv1)
+                c1 = _apply_unchecked(c, mv1)
                 mv2 = ("shorten", (i - 1) % L if i >= 1 else L)
-                c2, extra = normalize_cycle(X, apply_move(X, c1, mv2))
+                c2, extra = normalize_cycle(X, _apply_unchecked(c1, mv2))
                 c = c2
                 moves += [mv1, mv2] + extra
                 progressed = True

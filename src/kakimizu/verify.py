@@ -4,7 +4,9 @@ Each suite checks one statement of the theory over a concrete system or
 complex at desk scale and returns a :class:`ClaimReport` whose failures carry
 replayable witnesses (vertex pairs, cycles, or homology data).  Bounded
 homotopy searches get a third verdict, ``inconclusive``, which is never
-folded into pass or fail: a budgeted search cannot certify nontriviality.
+folded into pass or fail.  A budgeted search cannot certify nontriviality;
+a mod-2 1-cocycle that pairs odd with a cycle does, and turns that cycle
+into a failure before any search is spent on it.
 """
 from __future__ import annotations
 
@@ -13,9 +15,11 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (FlagComplex, build_complex, contractibility_report,
-                        embedded_cycles, homology_h1)
-from .homotopy import _replays_to_point, reduce_cycle_homotopy
+from .complexes import (ContractibilityReport, FlagComplex, build_complex,
+                        contractibility_report, embedded_cycles, homology_h1,
+                        mod2_cocycles)
+from .homotopy import (_is_mod2_cocycle, _pairs_odd, _replays_to_point,
+                       reduce_cycle_homotopy)
 from .systems import SurfaceSystem, kakimizu_null_homotopy
 
 
@@ -38,6 +42,8 @@ class ClaimReport:
     failures: list = field(default_factory=list)
     inconclusive: list = field(default_factory=list)
     elapsed: float = 0.0
+    girth_witness: dict | None = None
+    criterion: ContractibilityReport | None = None
 
     @property
     def verdict(self) -> str:
@@ -56,6 +62,10 @@ class ClaimReport:
             "inconclusive": self.inconclusive,
             "verdict": self.verdict,
         }
+        if self.girth_witness is not None:
+            out["girth_witness"] = self.girth_witness
+        if self.criterion is not None:
+            out["criterion"] = self.criterion.as_dict()
         if include_timings:
             out["elapsed"] = self.elapsed
         return out
@@ -216,19 +226,40 @@ def verify_residues_sc(X: FlagComplex, bounds: ReductionBounds = ReductionBounds
 def verify_simple_connectivity(system: SurfaceSystem,
                                bounds: ReductionBounds = ReductionBounds()) -> ClaimReport:
     """H1 must vanish, and every embedded cycle up to the cap must receive a
-    null-homotopy witness that replays move-by-move.  Uses the
-    complexity-descent reduction when the system has a double curve sum,
-    generic bounded search otherwise."""
+    null-homotopy witness that replays move-by-move.
+
+    When H1 is nontrivial the failure lists a basis of H^1(X; Z/2) under
+    ``"cocycles"``.  Each basis cocycle that checks (even on every triangle)
+    is paired with every cycle before its search: a cycle it crosses an odd
+    number of times cannot contract, so it fails, naming the cocycle by its
+    index, and is not searched.  A cocycle that does not check is reported
+    and dropped.  Cycles that pair evenly with every cocycle (odd torsion,
+    or trivial in homology) are reduced by the complexity-descent procedure
+    when the system has a double curve sum, by generic bounded search
+    otherwise."""
     started = time.perf_counter()
     report = ClaimReport("simple_connectivity",
                          "H1 = 0 and all short cycles contract with replayable witnesses")
     X = build_complex(system)
     h1 = homology_h1(X)
     report.instances += 1
+    cocycles = {}  # basis index -> edge set, for the cocycles that check
     if not h1.is_trivial():
-        report.failures.append({"problem": "H1 nontrivial", "h1": str(h1)})
+        basis = mod2_cocycles(X)
+        report.failures.append({"problem": "H1 nontrivial", "h1": str(h1),
+                                "cocycles": [[list(e) for e in z] for z in basis]})
+        for k, z in enumerate(map(frozenset, basis)):
+            if _is_mod2_cocycle(X, z):
+                cocycles[k] = z
+            else:
+                report.failures.append({"problem": "cocycle failed to check", "cocycle": k})
     for cycle in embedded_cycles(X, bounds.max_cycle_len):
         report.instances += 1
+        k = next((k for k, z in cocycles.items() if _pairs_odd(z, cycle)), None)
+        if k is not None:
+            report.failures.append({"cycle": list(cycle),
+                                    "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
+            continue
         if system.supports_dcs:
             result = kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,
                                             complex=X)

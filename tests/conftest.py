@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 import kakimizu as kk
 
@@ -39,6 +40,23 @@ def hexagon_complex(hexagon_system):
     return kk.build_complex(hexagon_system, max_dim=3)
 
 
+# the 6-vertex real projective plane (hemi-icosahedron), 10 triangles
+RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                 (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+
+
+@pytest.fixture(scope="session")
+def flag_rp2():
+    """Barycentric subdivision of the 6-vertex RP^2, as a graph system: the
+    order complex of a face poset is a flag complex."""
+    faces = sorted({frozenset(f) for t in RP2_TRIANGLES
+                    for r in (1, 2, 3) for f in itertools.combinations(t, r)},
+                   key=lambda f: (len(f), sorted(f)))
+    index = {f: i for i, f in enumerate(faces)}
+    edges = [(index[f], index[g]) for f in faces for g in faces if f < g]
+    return kk.graph_to_system(len(faces), edges)
+
+
 def random_pattern(rng, allow_empty=True):
     """Random valid pattern: support window meeting {0, 1}, counts 1..5."""
     if allow_empty and rng.random() < 0.1:
@@ -73,6 +91,16 @@ def random_graph_systems(count, max_vertices, seed):
         edges = kk.random_connected_graph(n, p, rng)
         systems.append(kk.graph_to_system(n, edges))
     return systems
+
+
+@st.composite
+def connected_graph_systems(draw):
+    """``graph_to_system`` on a random connected graph of up to 9 vertices."""
+    n = draw(st.integers(2, 9))
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return kk.graph_to_system(n, tree + [p for p, k in zip(pairs, keep) if k])
 
 
 def complex_to_nx(X):

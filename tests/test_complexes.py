@@ -10,7 +10,7 @@ import kakimizu as kk
 import kakimizu.homology
 from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
 
-from conftest import complex_to_nx, random_graph_systems
+from conftest import complex_to_nx, connected_graph_systems, random_graph_systems
 
 
 def triangle():
@@ -335,17 +335,7 @@ def test_h1_of_wedge_of_circles():
     assert kk.homology_h1(X) == kk.H1Structure(2)
 
 
-@st.composite
-def graph_systems(draw):
-    """``graph_to_system`` on a random connected graph of up to 9 vertices."""
-    n = draw(st.integers(2, 9))
-    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    pairs = [p for p in itertools.combinations(range(n), 2) if p not in tree]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return kk.graph_to_system(n, tree + [p for p, k in zip(pairs, keep) if k])
-
-
-@given(graph_systems())
+@given(connected_graph_systems())
 def test_h1_free_rank_matches_clique_complex_b1(system):
     # oracle: b1 = E - V + components - rank d2, from networkx cliques and a
     # sympy rank of d2
@@ -366,24 +356,8 @@ def test_h1_free_rank_matches_clique_complex_b1(system):
     assert kk.homology_h1(X).free_rank == b1
 
 
-# the 6-vertex real projective plane (hemi-icosahedron)
-RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-                 (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
-
-
-def flag_rp2():
-    """Barycentric subdivision of the 6-vertex RP^2, as a graph system: the
-    order complex of a face poset is a flag complex."""
-    faces = sorted({frozenset(f) for t in RP2_TRIANGLES
-                    for r in (1, 2, 3) for f in itertools.combinations(t, r)},
-                   key=lambda f: (len(f), sorted(f)))
-    index = {f: i for i, f in enumerate(faces)}
-    edges = [(index[f], index[g]) for f in faces for g in faces if f < g]
-    return kk.graph_to_system(len(faces), edges)
-
-
-def test_h1_of_flag_rp2_is_z2():
-    X = build_complex(flag_rp2(), max_dim=3)
+def test_h1_of_flag_rp2_is_z2(flag_rp2):
+    X = build_complex(flag_rp2, max_dim=3)
     assert (len(X.vertices), len(X.edges), len(X.simplices(2)), X.dim) == (31, 90, 60, 2)
     assert kk.homology_h1(X) == kk.H1Structure(0, (2,))
     assert str(kk.homology_h1(X)) == "Z/2"
@@ -412,6 +386,8 @@ def test_h1_needs_two_skeleton():
     X = FlagComplex("ab", [("a", "b")], max_dim=1)
     with pytest.raises(ValueError, match="2-skeleton"):
         kk.homology_h1(X)
+    with pytest.raises(ValueError, match="2-skeleton"):
+        kk.mod2_cocycles(X)
 
 
 # -- contractibility criterion ------------------------------------------------

@@ -10,6 +10,7 @@ from kakimizu import (BackendContractError, Complexity, OffsetPattern,
                       SurfaceSystem, SystemFormatError, UnsupportedBackend,
                       build_complex, double_curve_sum, geodesic,
                       kakimizu_null_homotopy, load_system, save_system)
+from kakimizu.homotopy import _replays_to_point
 
 from conftest import complex_to_nx, random_system
 
@@ -375,6 +376,18 @@ def test_descent_reduction_agrees_with_generic_on_lattice(lattice5):
         result = kakimizu_null_homotopy(lattice5, cycle, complex=X)
         assert result.reduced, cycle
         assert len(kk.replay(X, cycle, result.moves)) <= 1
+
+
+def test_descent_traces_replay_in_the_verifier_complex(lattice7):
+    # the descent applies its corner cuts and detour substitutions without
+    # re-validating them; every trace must still replay move by move
+    X = build_complex(lattice7)
+    kinds = set()
+    for cycle in kk.embedded_cycles(X, 6):
+        result = kakimizu_null_homotopy(lattice7, cycle, complex=X)
+        assert _replays_to_point(X, cycle, result), cycle
+        kinds.update(mv[0] for mv in result.moves)
+    assert kinds == {"backtrack", "shorten", "lengthen"}
 
 
 def test_reduction_degrades_without_backend():

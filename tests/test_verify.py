@@ -1,17 +1,24 @@
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 import kakimizu as kk
 import kakimizu.homology
 import kakimizu.verify
-from kakimizu import (FlagComplex, ReductionBounds, build_complex, run_suite,
-                      verify_contractible_2d, verify_cs_le_i,
-                      verify_distance_theorem, verify_link_girth,
-                      verify_residues_sc, verify_simple_connectivity,
-                      verify_st_bound)
+from kakimizu import (FlagComplex, ReductionBounds, build_complex,
+                      mod2_cocycles, run_suite, verify_contractible_2d,
+                      verify_cs_le_i, verify_distance_theorem,
+                      verify_link_girth, verify_residues_sc,
+                      verify_simple_connectivity, verify_st_bound)
+from kakimizu.homotopy import _replays_to_point
 
-from conftest import random_graph_systems
+from conftest import complex_to_nx, connected_graph_systems, random_graph_systems
+
+NONTRIVIAL = "nontrivial in H1(X; Z/2)"
 
 
 def test_distance_theorem_passes_on_models(line10, lattice5):
@@ -87,9 +94,86 @@ def test_simple_connectivity_passes_with_witnesses(lattice5):
 def test_simple_connectivity_fails_on_hexagon(hexagon_system):
     report = verify_simple_connectivity(hexagon_system)
     assert report.verdict == "fail"
-    assert any(f.get("h1") == "Z" for f in report.failures)
-    # the lone 6-cycle cannot be reduced, so it is also inconclusive
-    assert report.inconclusive
+    # one cocycle, the edge g3-g4, crosses the lone 6-cycle once
+    ring = [f"g{i}" for i in range(6)]
+    assert report.failures == [
+        {"problem": "H1 nontrivial", "h1": "Z", "cocycles": [[["g3", "g4"]]]},
+        {"cycle": ring, "problem": NONTRIVIAL, "cocycle": 0},
+    ]
+    assert not report.inconclusive
+    assert report.instances == 2
+
+
+def _flagged(report):
+    return {tuple(f["cycle"]): f["cocycle"] for f in report.failures
+            if f.get("problem") == NONTRIVIAL}
+
+
+def _gf2_rank(rows, n_cols):
+    """Rank over GF(2) of the 0/1 rows given by their sets of nonzero columns."""
+    F = GF(2)
+    sparse = {i: {j: F(1) for j in r} for i, r in enumerate(rows) if r}
+    return DomainMatrix(sparse, (len(rows), n_cols), F).rank() if sparse else 0
+
+
+@given(connected_graph_systems())
+def test_cycles_are_flagged_exactly_when_nontrivial_mod_2(system):
+    # oracle: a cycle is nonzero in H1(X; Z/2) iff its edge vector raises the
+    # GF(2) rank of the triangle boundaries; triangles from networkx cliques
+    bounds = ReductionBounds(max_cycle_len=5, max_len=8, max_steps=20)
+    X = build_complex(system, max_dim=3)
+    G = complex_to_nx(X)
+    edges = sorted(tuple(sorted(e)) for e in G.edges())
+    index = {e: i for i, e in enumerate(edges)}
+    boundaries = [{index[(a, b)], index[(a, c)], index[(b, c)]}
+                  for a, b, c in (sorted(q) for q in nx.enumerate_all_cliques(G) if len(q) == 3)]
+    base = _gf2_rank(boundaries, len(edges))
+    report = verify_simple_connectivity(system, bounds)
+    flagged = _flagged(report)
+    cycles = list(kk.embedded_cycles(X, bounds.max_cycle_len))
+    assert report.instances == len(cycles) + 1
+    for cycle in cycles:
+        vector = {index[tuple(sorted(e))] for e in zip(cycle, cycle[1:] + cycle[:1])}
+        raises = _gf2_rank(boundaries + [vector], len(edges)) > base
+        assert (cycle in flagged) == raises, cycle
+    # a flagged cycle cannot contract, so no search may claim it does
+    for cycle in flagged:
+        for result in (kk.kakimizu_null_homotopy(system, cycle, max_steps=20, complex=X),
+                       kk.reduce_cycle_homotopy(X, cycle, max_len=8, max_steps=20)):
+            assert not _replays_to_point(X, cycle, result)
+    h1 = kk.homology_h1(X)
+    even_torsion = sum(1 for t in h1.torsion if t % 2 == 0)
+    assert len(mod2_cocycles(X)) == h1.free_rank + even_torsion
+    assert not any(f.get("problem") == "cocycle failed to check" for f in report.failures)
+
+
+def test_flag_rp2_has_one_cocycle_and_keeps_searching(flag_rp2):
+    X = build_complex(flag_rp2, max_dim=3)
+    assert (len(X.vertices), len(X.edges), len(X.simplices(2))) == (31, 90, 60)
+    assert str(kk.homology_h1(X)) == "Z/2"
+    assert len(mod2_cocycles(X)) == 1
+    report = verify_simple_connectivity(flag_rp2, ReductionBounds(6, 12, 100))
+    assert report.failures[0]["h1"] == "Z/2"
+    flagged = _flagged(report)
+    assert len(flagged) == 315 and set(flagged.values()) == {0}
+    # the cycles that pair evenly are still searched: some stop unreduced
+    assert len(report.inconclusive) == 116
+    assert report.instances == 1401
+    assert len(report.failures) == 1 + len(flagged)
+
+
+def test_cocycle_that_fails_to_check_is_reported_and_dropped(monkeypatch):
+    # hexagon g0..g5 with a triangle g0-g1-g6 on one side: H1 = Z
+    system = kk.graph_to_system(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (1, 6)])
+    good = mod2_cocycles(build_complex(system))
+    assert len(good) == 1
+    bad = (("g0", "g6"),)   # odd on the triangle g0-g1-g6
+    monkeypatch.setattr(kakimizu.verify, "mod2_cocycles", lambda X: (bad,) + good)
+    report = verify_simple_connectivity(system)
+    assert {"problem": "cocycle failed to check", "cocycle": 0} in report.failures
+    flagged = _flagged(report)
+    assert flagged and set(flagged.values()) == {1}
+    assert report.failures[0]["cocycles"] == [[["g0", "g6"]], [list(e) for e in good[0]]]
 
 
 def test_contractible_criterion(lattice5, hexagon_complex):
@@ -129,6 +213,16 @@ def test_json_report_shape(hexagon_system):
     assert all("elapsed" in c for c in timed["claims"])
 
 
+def test_json_carries_girth_witness_and_criterion(lattice5, hexagon_system):
+    claims = {c["claim"]: c for c in json.loads(run_suite(lattice5, "all").to_json())["claims"]}
+    assert claims["link_girth_6"]["girth_witness"]["length"] == 6
+    assert claims["contractible_if_2d"]["criterion"]["conclusion"] == "contractible"
+    # a hexagon's links are pairs of points: no link cycle, so no witness key
+    claims = {c["claim"]: c for c in json.loads(run_suite(hexagon_system, "all").to_json())["claims"]}
+    assert "girth_witness" not in claims["link_girth_6"]
+    assert claims["contractible_if_2d"]["criterion"]["h1"] == "Z"
+
+
 def test_failure_witnesses_replay(hexagon_system):
     report = verify_distance_theorem(kk.SurfaceSystem(
         [("a", kk.Complexity()), ("b", kk.Complexity()), ("c", kk.Complexity())],
@@ -165,9 +259,12 @@ def test_residue_reductions_must_replay(monkeypatch):
     assert all(f["problem"] == "witness failed to replay" for f in report.failures)
 
 
-def test_simple_connectivity_reductions_must_replay(monkeypatch, hexagon_system):
+def test_simple_connectivity_reductions_must_replay(monkeypatch):
     monkeypatch.setattr(kakimizu.verify, "reduce_cycle_homotopy", _unreplayable)
-    loaded = kk.load_system(kk.save_system(hexagon_system))   # no descent backend
+    # the 6-wheel: H1 = 0, so its rim g0..g5 is searched, not certified
+    wheel = kk.graph_to_system(7, [(i, (i + 1) % 6) for i in range(6)]
+                               + [(i, 6) for i in range(6)])
+    loaded = kk.load_system(kk.save_system(wheel))   # no descent backend
     report = verify_simple_connectivity(loaded)
     ring = [f"g{i}" for i in range(6)]
     assert {"cycle": ring, "problem": "witness failed to replay"} in report.failures
