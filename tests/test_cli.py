@@ -159,6 +159,10 @@ def test_reduce_prints_only_certificates_that_replay(capsys, monkeypatch, lattic
         assert (code, out) == (1, "failed: witness failed to replay\n")
 
 
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_budget_stopped_verify_output_is_pinned(capsys, tmp_path):
     # 12 of this file's 42 cycles contract and 30 pair odd with a mod-2
     # cocycle, so any change to the cycle order, the search outcome or the
@@ -168,16 +172,45 @@ def test_budget_stopped_verify_output_is_pinned(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "all",
                            "--max-cycle-len", "6", "--max-steps", "100", "--json", str(report))
     assert code == 1
-
-    def digest(data):
-        return hashlib.sha256(data).hexdigest()
-
     assert digest(path.read_bytes()) == (
         "0f9a6d48f568529fadbf2a48a8e8224eacd75faff841fa794e34233e56bcffe5")
     assert digest(out.encode()) == (
         "4d8483cb3c289be9e9be8048590e1cda06edca5d69e7ac8bcacde54f4330bb0a")
     assert digest(report.read_bytes()) == (
         "e52b038dfebb7a0ce4aacdfa8751d3a34a4e79bc2d0b76a76a74822c14b0be9d")
+
+
+@pytest.mark.parametrize("gen, file_sha, out_sha, report_sha", [
+    (("lattice", "--width", "5", "--height", "5"),
+     "3115447db706cfd65e4e4a8110a94b9825af5caabea0f7de6c1b6088039aabc6",
+     "19f47331e98689d9e97c9e5c3afab46791a31774ddaee01fc74a9890ffcd74f7",
+     "ebaf311afef53aa799ee852d59311ae3b1ad4e1e00107fbc55d3a5516e606275"),
+    (("line", "--min", "0", "--max", "5"),
+     "2d05755da2e7fc40d477925eb7073da5e6194cd1fe8b94adb450b9a4a3710f18",
+     "a64d13349e4572e12426379e4cb8e6cf666efd1546844c0a9da0fa3160156380",
+     "4d2d48bc6b5a329cc1e8136c9e0499f8812b0ca10a605efeeb92b77a8e95e949"),
+])
+def test_passing_verify_output_is_pinned(capsys, tmp_path, gen, file_sha, out_sha,
+                                         report_sha):
+    path, report = tmp_path / "s.json", tmp_path / "s.report.json"
+    assert main(["gen", *gen, "-o", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "all",
+                           "--json", str(report))
+    assert code == 0
+    assert digest(path.read_bytes()) == file_sha
+    assert digest(out.encode()) == out_sha
+    assert digest(report.read_bytes()) == report_sha
+
+
+def test_residue_claim_ignores_the_search_budget(capsys, lattice_file):
+    # residue cycles contract by coning, so a one-step budget leaves only the
+    # whole-complex cycles inconclusive
+    code, out, _ = run_cli(capsys, "verify", lattice_file, "--suite", "sc",
+                           "--max-steps", "1")
+    assert code == 3
+    rows = [line.split() for line in out.splitlines()]
+    assert ["residues_simply_connected", "527", "0", "0", "pass"] in rows
+    assert ["simple_connectivity", "1275", "0", "1242", "inconclusive"] in rows
 
 
 def test_geodesic_subcommand(capsys, line_file):

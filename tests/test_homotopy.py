@@ -8,7 +8,9 @@ import kakimizu as kk
 from kakimizu import (FlagComplex, apply_move, build_complex, canonical_cycle,
                       normalize_cycle, reduce_cycle_homotopy, replay, validate_cycle)
 from kakimizu.cli import main
-from kakimizu.homotopy import _apply_unchecked
+from kakimizu.homotopy import _apply_unchecked, _cone_homotopy, _replays_to_point
+
+from conftest import connected_graph_systems
 
 
 def triangle():
@@ -164,6 +166,39 @@ def test_unreduced_traces_replay_to_their_final_cycle(tmp_path):
         "step budget exhausted": 12, "move space exhausted within max_len": 18}
     for r in stopped:
         assert replay(X, r.start, r.moves) == r.final
+
+
+# -- cone witnesses ------------------------------------------------------------
+
+
+def test_cone_witness_replays_in_every_residue():
+    # a residue s * lk(s) is a cone with apex s[0]; both witness shapes occur
+    seen = set()
+
+    @given(connected_graph_systems())
+    def check(system):
+        X = build_complex(system)
+        for s in X.simplices():
+            res = X.residue(s)
+            for cycle in kk.embedded_cycles(res, 6):
+                on = s[0] in cycle
+                result = _cone_homotopy(cycle, s[0])
+                assert _replays_to_point(res, cycle, result), (s, cycle)
+                assert len(result.moves) == len(cycle) + (-1 if on else 1)
+                seen.add(on)
+
+    check()
+    assert seen == {True, False}
+
+
+def test_cone_witness_fails_replay_without_a_cone():
+    # on the hexagon, apex 0 has no diagonal to cut along; a square with a
+    # vertex 4 joined to 0 and 1 only takes the detour but not the next cut
+    assert not _replays_to_point(hexagon(), tuple(range(6)),
+                                 _cone_homotopy(tuple(range(6)), 0))
+    X = FlagComplex(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)],
+                    max_dim=3)
+    assert not _replays_to_point(X, (0, 1, 2, 3), _cone_homotopy((0, 1, 2, 3), 4))
 
 
 # -- the search's unchecked move kernel against apply_move --------------------

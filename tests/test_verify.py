@@ -251,7 +251,8 @@ def _unreplayable(X, cycle, max_len=None, max_steps=100_000):
 
 
 def test_residue_reductions_must_replay(monkeypatch):
-    monkeypatch.setattr(kakimizu.verify, "reduce_cycle_homotopy", _unreplayable)
+    monkeypatch.setattr(kakimizu.verify, "_cone_homotopy",
+                        lambda cycle, apex: _unreplayable(None, cycle))
     X = FlagComplex("abc", [("a", "b"), ("b", "c"), ("a", "c")], max_dim=3)
     report = verify_residues_sc(X)
     assert report.verdict == "fail"
