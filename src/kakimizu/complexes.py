@@ -192,10 +192,12 @@ class FlagComplex:
 
 def build_complex(system, max_dim: int = 3) -> FlagComplex:
     """Disjointness complex of a surface system, built once per ``max_dim``:
-    edges join pairs whose intersection pattern is empty; faces are cliques."""
+    edges join pairs whose intersection pattern is empty, i.e. the id pairs
+    with no stored pattern; faces are cliques."""
     if max_dim not in system._complexes:
-        ids = system.vertex_ids()
-        edges = [(u, v) for u, v in itertools.combinations(ids, 2) if system.disjoint(u, v)]
+        ids = system.vertex_ids()   # sorted, so each pair comes in canonical order
+        stored = system.stored_patterns()
+        edges = [p for p in itertools.combinations(ids, 2) if p not in stored]
         system._complexes[max_dim] = FlagComplex(ids, edges, max_dim=max_dim)
     return system._complexes[max_dim]
 

@@ -87,6 +87,28 @@ def lt_lb(p: OffsetPattern) -> tuple[int, int]:
     ``support_start - 1`` whenever 0 lies in the support.
     """
     _require_valid(p)
+    return _lt_lb_unchecked(p)
+
+
+def covering_spread(p: OffsetPattern) -> int:
+    """``l_t - l_b``.  For every valid pattern this equals ``len(counts)``."""
+    _require_valid(p)
+    return _spread_unchecked(p)
+
+
+def intersection_number(p: OffsetPattern) -> int:
+    """Total number of intersection curves: each lifts into exactly one
+    translate pair, so the per-translate counts simply add up."""
+    _require_valid(p)
+    return _intersection_unchecked(p)
+
+
+# The readers below, and the dual after dualize, trust their argument: a
+# surface system validates each pattern once, when it is built, and reads
+# its numbers and its reversed patterns through these.
+
+
+def _lt_lb_unchecked(p: OffsetPattern) -> tuple[int, int]:
     if p.is_empty():
         return (0, 0)
     a = p.support_start
@@ -96,16 +118,12 @@ def lt_lb(p: OffsetPattern) -> tuple[int, int]:
     return (l_t, l_b)
 
 
-def covering_spread(p: OffsetPattern) -> int:
-    """``l_t - l_b``.  For every valid pattern this equals ``len(counts)``."""
-    top, bottom = lt_lb(p)
+def _spread_unchecked(p: OffsetPattern) -> int:
+    top, bottom = _lt_lb_unchecked(p)
     return top - bottom
 
 
-def intersection_number(p: OffsetPattern) -> int:
-    """Total number of intersection curves: each lifts into exactly one
-    translate pair, so the per-translate counts simply add up."""
-    _require_valid(p)
+def _intersection_unchecked(p: OffsetPattern) -> int:
     return sum(p.counts)
 
 
@@ -118,6 +136,10 @@ def dualize(p: OffsetPattern) -> OffsetPattern:
     covering spread and intersection number.
     """
     _require_valid(p)
+    return _dualize_unchecked(p)
+
+
+def _dualize_unchecked(p: OffsetPattern) -> OffsetPattern:
     if p.is_empty():
         return EMPTY_PATTERN
     b = p.support_start + len(p.counts) - 1

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .complexes import build_complex
 from .homotopy import (HomotopyResult, _apply_unchecked, normalize_cycle,
                        reduce_cycle_homotopy, validate_cycle)
-from .patterns import (EMPTY_PATTERN, OffsetPattern, covering_spread, dualize,
-                       intersection_number, validate_pattern)
+from .patterns import (EMPTY_PATTERN, OffsetPattern, _dualize_unchecked,
+                       _intersection_unchecked, _spread_unchecked, validate_pattern)
 
 
 class SystemFormatError(ValueError):
@@ -70,6 +70,12 @@ class SurfaceSystem:
     optional backend callable ``(system, u, v) -> (minus, plus)`` and
     ``strict_descent`` declares the complexity inequality
     ``c(minus) + c(plus) < c(u) + c(v)`` for every summed pair.
+
+    Each pattern is validated once, at the boundary: here for a system built
+    from Python data, in :func:`load_system` for a system read from a file.
+    Nothing after construction validates again: spread and intersection are
+    read off the stored table unchecked, and :meth:`disjoint` is a lookup of
+    the pair's key, since only nonempty patterns are stored.
     """
 
     def __init__(self, vertices, patterns=None, dcs=None, strict_descent=False):
@@ -82,11 +88,10 @@ class SurfaceSystem:
             if not isinstance(cx, Complexity):
                 cx = Complexity(*cx)
             verts[vid] = cx
-        self._vertices = dict(sorted(verts.items()))
         pats = {}
         for key, pat in sorted((patterns or {}).items()):
             u, v = key
-            if u not in self._vertices or v not in self._vertices:
+            if u not in verts or v not in verts:
                 raise SystemFormatError(f"pattern pair {key!r} mentions an unknown vertex")
             if not u < v:
                 raise SystemFormatError(f"pattern pair {key!r} is not in canonical order")
@@ -96,7 +101,23 @@ class SurfaceSystem:
             if problems:
                 raise SystemFormatError(f"pattern pair {key!r}: " + "; ".join(problems))
             pats[(u, v)] = pat
-        self._patterns = pats
+        self._adopt(dict(sorted(verts.items())), pats, dcs, strict_descent)
+
+    @classmethod
+    def _from_checked(cls, vertices: dict, patterns: dict) -> "SurfaceSystem":
+        """A backend-free system over tables that have already passed every
+        check :meth:`__init__` makes; nothing is validated again.  This is
+        :func:`load_system`'s way in, which checks each entry itself so that
+        its errors can name the entry."""
+        system = cls.__new__(cls)
+        system._adopt(dict(sorted(vertices.items())), dict(sorted(patterns.items())),
+                      None, False)
+        return system
+
+    def _adopt(self, vertices: dict, patterns: dict, dcs, strict_descent) -> None:
+        # both tables arrive sorted by key
+        self._vertices = vertices
+        self._patterns = patterns
         self._numbers = {}     # canonical pair -> (spread, intersection): dualize keeps both
         self._complexes = {}   # max_dim -> FlagComplex, filled by build_complex
         self._dcs = dcs
@@ -114,21 +135,25 @@ class SurfaceSystem:
             raise ValueError(f"unknown vertex {v!r}")
         return self._vertices[v]
 
-    def pattern(self, u, v) -> OffsetPattern:
-        """Pattern of the ordered pair (u, v); the reverse of the stored
-        orientation is obtained by dualizing."""
+    def _require_pair(self, u, v) -> None:
         if u == v:
             raise ValueError("pattern of a vertex with itself is undefined")
         for x in (u, v):
             if x not in self._vertices:
                 raise ValueError(f"unknown vertex {x!r}")
+
+    def pattern(self, u, v) -> OffsetPattern:
+        """Pattern of the ordered pair (u, v); the reverse of the stored
+        orientation is obtained by dualizing."""
+        self._require_pair(u, v)
         stored = self._patterns.get(canonical_pair(u, v))
         if stored is None:
             return EMPTY_PATTERN
-        return stored if u < v else dualize(stored)
+        return stored if u < v else _dualize_unchecked(stored)
 
     def disjoint(self, u, v) -> bool:
-        return self.pattern(u, v).is_empty()
+        self._require_pair(u, v)
+        return canonical_pair(u, v) not in self._patterns
 
     def spread(self, u, v) -> int:
         return self._pair_numbers(u, v)[0]
@@ -138,10 +163,13 @@ class SurfaceSystem:
 
     def _pair_numbers(self, u, v) -> tuple:
         key = canonical_pair(u, v)
-        if key not in self._numbers:
-            pat = self.pattern(*key)
-            self._numbers[key] = (covering_spread(pat), intersection_number(pat))
-        return self._numbers[key]
+        numbers = self._numbers.get(key)
+        if numbers is None:
+            self._require_pair(u, v)
+            pat = self._patterns.get(key, EMPTY_PATTERN)
+            numbers = self._numbers[key] = (_spread_unchecked(pat),
+                                            _intersection_unchecked(pat))
+        return numbers
 
     def stored_patterns(self) -> dict:
         return dict(self._patterns)
@@ -165,6 +193,11 @@ class SurfaceSystem:
 def load_system(text: str) -> SurfaceSystem:
     """Parse the JSON system format, diagnosing errors by entry and field.
 
+    This is the boundary for file input: every entry is checked here, each
+    pattern validated once, and the first error is raised naming its entry
+    (``patterns[3]: counts[1] = 0: zero count breaks contiguity``).  The
+    checked tables go to the system as they are, without a second pass.
+
     Loaded systems carry no double-curve-sum backend: the file format
     describes intersection data only, and new interpolating vertices cannot
     be synthesized from it.
@@ -178,8 +211,7 @@ def load_system(text: str) -> SurfaceSystem:
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise SystemFormatError("vertices: must be a nonempty list")
-    vertices = []
-    seen = set()
+    vertices = {}
     for i, entry in enumerate(raw_vertices):
         where = f"vertices[{i}]"
         if not isinstance(entry, dict):
@@ -187,14 +219,13 @@ def load_system(text: str) -> SurfaceSystem:
         vid = entry.get("id")
         if not isinstance(vid, str) or not vid:
             raise SystemFormatError(f"{where}.id: must be a nonempty string")
-        if vid in seen:
+        if vid in vertices:
             raise SystemFormatError(f"{where}.id: duplicate id {vid!r}")
-        seen.add(vid)
         cx = entry.get("complexity")
         if (not isinstance(cx, list) or len(cx) != 2
                 or any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in cx)):
             raise SystemFormatError(f"{where}.complexity: must be a pair of non-negative integers")
-        vertices.append((vid, Complexity(cx[0], cx[1])))
+        vertices[vid] = Complexity(cx[0], cx[1])
     patterns = {}
     raw_patterns = data.get("patterns", [])
     if not isinstance(raw_patterns, list):
@@ -206,7 +237,7 @@ def load_system(text: str) -> SurfaceSystem:
         u, v = entry.get("u"), entry.get("v")
         if not isinstance(u, str) or not isinstance(v, str):
             raise SystemFormatError(f"{where}.u/.v: must be strings")
-        if u not in seen or v not in seen:
+        if u not in vertices or v not in vertices:
             raise SystemFormatError(f"{where}: unknown vertex in pair ({u!r}, {v!r})")
         if not u < v:
             raise SystemFormatError(f"{where}: pair must be listed in canonical order (u < v)")
@@ -223,7 +254,7 @@ def load_system(text: str) -> SurfaceSystem:
         if problems:
             raise SystemFormatError(f"{where}: " + "; ".join(problems))
         patterns[(u, v)] = pat
-    return SurfaceSystem(vertices, patterns)
+    return SurfaceSystem._from_checked(vertices, patterns)
 
 
 def save_system(system: SurfaceSystem) -> str:
@@ -245,9 +276,11 @@ def save_system(system: SurfaceSystem) -> str:
 
 
 def _store(patterns: dict, u: str, v: str, pat: OffsetPattern) -> None:
-    # store under the canonical key, dualizing when the given orientation flips
+    # store under the canonical key, dualizing when the given orientation
+    # flips; the constructor validates what is stored (dualizing preserves
+    # validity), so the flip itself does not validate
     key = canonical_pair(u, v)
-    patterns[key] = pat if key == (u, v) else dualize(pat)
+    patterns[key] = pat if key == (u, v) else _dualize_unchecked(pat)
 
 
 def line_model(n_min: int, n_max: int) -> SurfaceSystem:

@@ -242,7 +242,9 @@ def verify_simple_connectivity(system: SurfaceSystem,
     and dropped.  Cycles that pair evenly with every cocycle (odd torsion,
     or trivial in homology) are reduced by the complexity-descent procedure
     when the system has a double curve sum, by generic bounded search
-    otherwise."""
+    otherwise.  Without ``strict_descent`` the descent may stop with no
+    applicable move on a cycle that does contract, so a cycle it leaves
+    unreduced is searched too before it counts as inconclusive."""
     started = time.perf_counter()
     report = ClaimReport("simple_connectivity",
                          "H1 = 0 and all short cycles contract with replayable witnesses")
@@ -266,10 +268,11 @@ def verify_simple_connectivity(system: SurfaceSystem,
             report.failures.append({"cycle": list(cycle),
                                     "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
             continue
+        result = None
         if system.supports_dcs:
             result = kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,
                                             complex=X)
-        else:
+        if result is None or not (result.reduced or system.strict_descent):
             result = reduce_cycle_homotopy(X, cycle, bounds.max_len, bounds.max_steps)
         _check_reduction(report, X, cycle, result, {})
     return _timed(report, started)

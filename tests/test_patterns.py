@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from kakimizu import (EMPTY_PATTERN, OffsetPattern, PatternError, covering_spread,
                       dualize, intersection_number, lt_lb, validate_pattern)
+from kakimizu.patterns import (_dualize_unchecked, _intersection_unchecked,
+                               _lt_lb_unchecked, _spread_unchecked)
 
 from conftest import random_pattern
 
@@ -104,6 +106,20 @@ def test_lt_lb_rejects_denormalized_support():
         lt_lb(OffsetPattern(3, (1, 1)))
     with pytest.raises(PatternError, match="support misses"):
         lt_lb(OffsetPattern(-4, (1, 1)))
+
+
+@pytest.mark.parametrize("reader", [lt_lb, covering_spread, intersection_number, dualize])
+def test_public_readers_validate_for_outside_callers(reader):
+    with pytest.raises(PatternError, match=r"counts\[1\] = 0: zero count breaks contiguity"):
+        reader(OffsetPattern(0, (1, 0, 1)))
+
+
+@given(valid_patterns)
+def test_unchecked_readers_agree_with_the_public_ones(p):
+    assert _lt_lb_unchecked(p) == lt_lb(p)
+    assert _spread_unchecked(p) == covering_spread(p)
+    assert _intersection_unchecked(p) == intersection_number(p)
+    assert _dualize_unchecked(p) == dualize(p)
 
 
 # -- covering spread ---------------------------------------------------------

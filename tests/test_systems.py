@@ -4,15 +4,17 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 import kakimizu as kk
 from kakimizu import (BackendContractError, Complexity, OffsetPattern,
                       SurfaceSystem, SystemFormatError, UnsupportedBackend,
-                      build_complex, double_curve_sum, geodesic,
-                      kakimizu_null_homotopy, load_system, save_system)
+                      build_complex, covering_spread, double_curve_sum, geodesic,
+                      intersection_number, kakimizu_null_homotopy, load_system,
+                      save_system)
 from kakimizu.homotopy import _replays_to_point
 
-from conftest import complex_to_nx, random_system
+from conftest import complex_to_nx, connected_graph_systems, random_system
 
 
 # -- Complexity ---------------------------------------------------------------
@@ -63,9 +65,43 @@ def test_system_rejects_bad_tables():
 
 
 def test_self_pattern_is_undefined():
-    system = SurfaceSystem([("a", Complexity()), ("b", Complexity())])
-    with pytest.raises(ValueError, match="with itself"):
-        system.pattern("a", "a")
+    system = SurfaceSystem([("a", Complexity()), ("b", Complexity())],
+                           {("a", "b"): OffsetPattern(1, (1,))})
+    for read in (system.pattern, system.disjoint, system.spread, system.intersection):
+        with pytest.raises(ValueError, match="^pattern of a vertex with itself is undefined$"):
+            read("a", "a")
+
+
+def test_pair_readers_reject_unknown_vertices():
+    system = SurfaceSystem([("a", Complexity()), ("b", Complexity())],
+                           {("a", "b"): OffsetPattern(1, (1,))})
+    for read in (system.pattern, system.disjoint, system.spread, system.intersection):
+        for pair in (("a", "z"), ("z", "a")):
+            with pytest.raises(ValueError, match="^unknown vertex 'z'$"):
+                read(*pair)
+
+
+systems_with_any_patterns = st.one_of(
+    connected_graph_systems(),
+    st.integers(0, 2**30).map(lambda seed: random_system(random.Random(seed))),
+)
+
+
+@given(systems_with_any_patterns)
+def test_pair_readers_agree_with_the_public_pattern_functions(system):
+    for u, v in itertools.permutations(system.vertex_ids(), 2):
+        pat = system.pattern(u, v)
+        assert system.pattern(v, u) == kk.dualize(pat)
+        assert system.disjoint(u, v) == pat.is_empty()
+        assert system.spread(u, v) == covering_spread(pat)
+        assert system.intersection(u, v) == intersection_number(pat)
+
+
+@given(systems_with_any_patterns)
+def test_complex_edges_are_the_pairs_with_empty_patterns(system):
+    ids = system.vertex_ids()
+    assert build_complex(system).edges == {
+        (u, v) for u, v in itertools.combinations(ids, 2) if system.pattern(u, v).is_empty()}
 
 
 # -- file format ---------------------------------------------------------------
@@ -91,16 +127,51 @@ def test_load_spread_one_pair_gives_distance_two():
     assert build_complex(system).distance("a", "c") == 2
 
 
+# each case keeps the id it had when it matched only a fragment of its message
 @pytest.mark.parametrize("mutate, message", [
-    (lambda d: d["patterns"][0].update(support_start=3), "support misses"),
-    (lambda d: d["patterns"][0].update(counts=[1, 0]), "zero count"),
-    (lambda d: d["patterns"][0].update(counts=[]), "counts"),
-    (lambda d: d["patterns"][0].update(u="c", v="a"), "canonical order"),
-    (lambda d: d["patterns"][0].update(u="zz"), "unknown vertex"),
-    (lambda d: d["patterns"].append(dict(d["patterns"][0])), "duplicate pair"),
-    (lambda d: d["vertices"].append({"id": "a", "complexity": [0, 0]}), "duplicate id"),
-    (lambda d: d["vertices"][0].update(complexity=[-1, 0]), "non-negative"),
-    (lambda d: d["vertices"][0].pop("id"), "id"),
+    pytest.param(lambda d: d["patterns"][0].update(support_start=3),
+                 "patterns[0]: support misses {0,1}",
+                 id="<lambda>-support misses"),
+    pytest.param(lambda d: d["patterns"][0].update(counts=[1, 0]),
+                 "patterns[0]: counts[1] = 0: zero count breaks contiguity",
+                 id="<lambda>-zero count"),
+    pytest.param(lambda d: d["patterns"][0].update(counts=[1, -2]),
+                 "patterns[0]: counts[1] = -2: counts must be positive",
+                 id="<lambda>-negative count"),
+    pytest.param(lambda d: d["patterns"][0].update(counts=[1, 1.5]),
+                 "patterns[0]: counts[1] = 1.5: count must be an integer",
+                 id="<lambda>-float count"),
+    pytest.param(lambda d: d["patterns"][0].update(counts=[True]),
+                 "patterns[0]: counts[0] = True: count must be an integer",
+                 id="<lambda>-bool count"),
+    pytest.param(lambda d: d["patterns"][0].update(support_start=3, counts=[0, -1]),
+                 "patterns[0]: counts[0] = 0: zero count breaks contiguity; "
+                 "counts[1] = -1: counts must be positive; support misses {0,1}",
+                 id="<lambda>-every problem"),
+    pytest.param(lambda d: d["patterns"][0].update(support_start=True),
+                 "patterns[0].support_start: must be an integer",
+                 id="<lambda>-bool support_start"),
+    pytest.param(lambda d: d["patterns"][0].update(counts=[]),
+                 "patterns[0].counts: must be a nonempty list",
+                 id="<lambda>-counts"),
+    pytest.param(lambda d: d["patterns"][0].update(u="c", v="a"),
+                 "patterns[0]: pair must be listed in canonical order (u < v)",
+                 id="<lambda>-canonical order"),
+    pytest.param(lambda d: d["patterns"][0].update(u="zz"),
+                 "patterns[0]: unknown vertex in pair ('zz', 'c')",
+                 id="<lambda>-unknown vertex"),
+    pytest.param(lambda d: d["patterns"].append(dict(d["patterns"][0])),
+                 "patterns[1]: duplicate pair ('a', 'c')",
+                 id="<lambda>-duplicate pair"),
+    pytest.param(lambda d: d["vertices"].append({"id": "a", "complexity": [0, 0]}),
+                 "vertices[2].id: duplicate id 'a'",
+                 id="<lambda>-duplicate id"),
+    pytest.param(lambda d: d["vertices"][0].update(complexity=[-1, 0]),
+                 "vertices[0].complexity: must be a pair of non-negative integers",
+                 id="<lambda>-non-negative"),
+    pytest.param(lambda d: d["vertices"][0].pop("id"),
+                 "vertices[0].id: must be a nonempty string",
+                 id="<lambda>-id"),
 ])
 def test_load_diagnostics_cite_entry_and_field(mutate, message):
     doc = {
@@ -109,8 +180,9 @@ def test_load_diagnostics_cite_entry_and_field(mutate, message):
         "patterns": [{"u": "a", "v": "c", "support_start": 1, "counts": [1]}],
     }
     mutate(doc)
-    with pytest.raises(SystemFormatError, match=message):
+    with pytest.raises(SystemFormatError) as excinfo:
         load_system(json.dumps(doc))
+    assert str(excinfo.value) == message
 
 
 def test_load_rejects_garbage():

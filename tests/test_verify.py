@@ -8,6 +8,8 @@ from sympy.polys.matrices import DomainMatrix
 
 import kakimizu as kk
 import kakimizu.homology
+import kakimizu.patterns
+import kakimizu.systems
 import kakimizu.verify
 from kakimizu import (FlagComplex, ReductionBounds, build_complex,
                       mod2_cocycles, run_suite, verify_contractible_2d,
@@ -156,8 +158,10 @@ def test_flag_rp2_has_one_cocycle_and_keeps_searching(flag_rp2):
     assert report.failures[0]["h1"] == "Z/2"
     flagged = _flagged(report)
     assert len(flagged) == 315 and set(flagged.values()) == {0}
-    # the cycles that pair evenly are still searched: some stop unreduced
-    assert len(report.inconclusive) == 116
+    # the cycles that pair evenly are still searched: the non-strict descent
+    # stops on 116 of them with no applicable move, and the generic search
+    # it hands them to contracts all 116
+    assert len(report.inconclusive) == 0
     assert report.instances == 1401
     assert len(report.failures) == 1 + len(flagged)
 
@@ -295,3 +299,27 @@ def test_run_suite_computes_each_fact_once(monkeypatch):
     assert report.verdict == "pass"
     assert len(snf_calls) == 2   # d1 and d2, once each
     assert full_builds == [3]
+
+
+def test_patterns_are_validated_once_at_the_boundary_and_never_in_run_suite(monkeypatch):
+    text = kk.save_system(kk.lattice_model(4, 4))
+    n_patterns = len(json.loads(text)["patterns"])
+    calls = []
+    real_validate = kakimizu.patterns.validate_pattern
+
+    def counting_validate(p):
+        calls.append(p)
+        return real_validate(p)
+
+    # both bindings: the one in patterns serves its public readers
+    monkeypatch.setattr(kakimizu.patterns, "validate_pattern", counting_validate)
+    monkeypatch.setattr(kakimizu.systems, "validate_pattern", counting_validate)
+    system = kk.load_system(text)
+    assert len(calls) == n_patterns == len(system.stored_patterns())
+    calls.clear()
+    assert run_suite(system, "all").verdict == "pass"
+    assert calls == []
+    # a model flips some pairs into canonical order before the constructor
+    # validates them; that flip validates nothing
+    line = kk.line_model(0, 12)
+    assert len(calls) == len(line.stored_patterns())
