@@ -14,7 +14,6 @@ import sys
 
 from .complexes import build_complex, homology_h1, is_k_large, simplex_listing, to_dot
 from .homotopy import _replays_to_point, reduce_cycle_homotopy
-from .patterns import PatternError
 from .systems import (BackendContractError, SystemFormatError, UnsupportedBackend,
                       geodesic, graph_to_system, lattice_model, line_model,
                       load_system, random_connected_graph, save_system)
@@ -163,10 +162,7 @@ def _cmd_links(args) -> int:
     system = _load(args.file)
     X = build_complex(system, max_dim=3)
     simplex = tuple(args.s.split(","))
-    try:
-        lk = X.link(simplex)
-    except ValueError as exc:
-        raise SystemFormatError(str(exc)) from None
+    lk = X.link(simplex)
     print("vertices: " + (" ".join(lk.vertices) if lk.vertices else "(none)"))
     edges = " ".join(f"{a}-{b}" for a, b in sorted(lk.edges))
     print("edges: " + (edges if edges else "(none)"))
@@ -196,10 +192,7 @@ def _cmd_reduce(args) -> int:
     system = _load(args.file)
     X = build_complex(system, max_dim=1)
     cycle = tuple(args.cycle.split(","))
-    try:
-        result = reduce_cycle_homotopy(X, cycle, args.max_len, args.max_steps)
-    except ValueError as exc:
-        raise SystemFormatError(str(exc)) from None
+    result = reduce_cycle_homotopy(X, cycle, args.max_len, args.max_steps)
     if result.reduced:
         if not _replays_to_point(X, cycle, result):
             print("failed: witness failed to replay")
@@ -266,8 +259,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (SystemFormatError, PatternError, UnsupportedBackend,
-            BackendContractError, ValueError, OSError) as exc:
+    except (UnsupportedBackend, BackendContractError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -47,6 +47,7 @@ class FlagComplex:
         self._simplices = self._materialize()
         self._distances = {}
         self._link_cycles = {}
+        self._forest = None
         self._h1 = None
         self._cocycles = None
 
@@ -306,49 +307,11 @@ def is_locally_k_large(X: FlagComplex, k: int):
 # -- homology and the contractibility criterion -----------------------------
 
 
-def boundary_matrices(X: FlagComplex):
-    """Integral boundary maps (d1: edges -> vertices, d2: triangles -> edges)
-    with orientations induced by sorted vertex order."""
-    verts = {v: i for i, v in enumerate(X.vertices)}
-    edges = sorted(X.edges)
-    eidx = {e: i for i, e in enumerate(edges)}
-    tris = X.simplices(2)
-    d1 = [[0] * len(edges) for _ in range(len(verts))]
-    for j, (u, v) in enumerate(edges):
-        d1[verts[u]][j] = -1
-        d1[verts[v]][j] = 1
-    d2 = [[0] * len(tris) for _ in range(len(edges))]
-    for j, (u, v, w) in enumerate(tris):
-        d2[eidx[(v, w)]][j] = 1
-        d2[eidx[(u, w)]][j] = -1
-        d2[eidx[(u, v)]][j] = 1
-    return d1, d2
-
-
-def homology_h1(X: FlagComplex) -> H1Structure:
-    """First integral homology from Smith normal forms of the boundary maps.
-    Requires the 2-skeleton, i.e. a complex built with ``max_dim >= 2``."""
-    if X.max_dim < 2:
-        raise ValueError("homology needs the 2-skeleton; rebuild with max_dim >= 2")
-    if X._h1 is None:
-        d1, d2 = boundary_matrices(X)
-        X._h1 = homology_from_boundaries(len(X.edges), d1, d2)
-    return X._h1
-
-
-def mod2_cocycles(X: FlagComplex) -> tuple:
-    """Basis of H^1(X; Z/2): one tuple of sorted edges per cocycle, the edges
-    where it takes the value 1.  Requires the 2-skeleton.
-
-    Each class has exactly one cocycle vanishing on a spanning forest, so the
-    unknowns are the edges outside a BFS forest, and each triangle asks that
-    its unknowns sum to 0.  GF(2) elimination of those constraints, with rows
-    as Python int bitsets kept in reduced form, leaves one free unknown per
-    basis member: dim H^1(X; Z/2) = free rank + number of even torsion factors.
-    """
-    if X.max_dim < 2:
-        raise ValueError("cohomology needs the 2-skeleton; rebuild with max_dim >= 2")
-    if X._cocycles is None:
+def _spanning_forest(X: FlagComplex) -> frozenset:
+    """Edges of the BFS spanning forest: a BFS from each unvisited vertex in
+    sorted order, each vertex joined to its least neighbor one level nearer
+    the root.  Its size is V - components, the rank of d1."""
+    if X._forest is None:
         forest = set()
         seen = set()
         for root in X.vertices:
@@ -360,7 +323,50 @@ def mod2_cocycles(X: FlagComplex) -> tuple:
                 if d:
                     w = next(w for w in X._adj[v] if dist[w] == d - 1)
                     forest.add((w, v) if w < v else (v, w))
-        unknowns = sorted(X.edges - forest)
+        X._forest = frozenset(forest)
+    return X._forest
+
+
+def boundary_matrices(X: FlagComplex):
+    """Integral boundary map d2 (triangles -> sorted edges), with orientations
+    induced by sorted vertex order.  d1 needs no matrix: its rank is the size
+    of a spanning forest, and it has no torsion."""
+    eidx = {e: i for i, e in enumerate(sorted(X.edges))}
+    tris = X.simplices(2)
+    d2 = [[0] * len(tris) for _ in range(len(eidx))]
+    for j, (u, v, w) in enumerate(tris):
+        d2[eidx[(v, w)]][j] = 1
+        d2[eidx[(u, w)]][j] = -1
+        d2[eidx[(u, v)]][j] = 1
+    return d2
+
+
+def homology_h1(X: FlagComplex) -> H1Structure:
+    """First integral homology: rank d1 is the spanning forest's size, and
+    the Smith normal form of d2 gives its rank and the torsion.  Requires the
+    2-skeleton, i.e. a complex built with ``max_dim >= 2``."""
+    if X.max_dim < 2:
+        raise ValueError("homology needs the 2-skeleton; rebuild with max_dim >= 2")
+    if X._h1 is None:
+        X._h1 = homology_from_boundaries(len(X.edges), len(_spanning_forest(X)),
+                                         boundary_matrices(X))
+    return X._h1
+
+
+def mod2_cocycles(X: FlagComplex) -> tuple:
+    """Basis of H^1(X; Z/2): one tuple of sorted edges per cocycle, the edges
+    where it takes the value 1.  Requires the 2-skeleton.
+
+    Each class has exactly one cocycle vanishing on a spanning forest, so the
+    unknowns are the edges outside the BFS forest, and each triangle asks that
+    its unknowns sum to 0.  GF(2) elimination of those constraints, with rows
+    as Python int bitsets kept in reduced form, leaves one free unknown per
+    basis member: dim H^1(X; Z/2) = free rank + number of even torsion factors.
+    """
+    if X.max_dim < 2:
+        raise ValueError("cohomology needs the 2-skeleton; rebuild with max_dim >= 2")
+    if X._cocycles is None:
+        unknowns = sorted(X.edges - _spanning_forest(X))
         bit = {e: 1 << i for i, e in enumerate(unknowns)}
         rows = {}  # pivot bit -> row; no row holds another row's pivot
         for u, v, w in X.simplices(2):
@@ -432,7 +438,7 @@ def contractibility_report(X: FlagComplex) -> ContractibilityReport:
     dim = X.dim
     capped = X.dim_is_capped()
     dim_ok = dim <= 2 and not capped
-    connected = bool(X.vertices) and len(X.distances_from(X.vertices[0])) == len(X.vertices)
+    connected = len(_spanning_forest(X)) == len(X.vertices) - 1
     large_ok, witness = is_locally_k_large(X, 6)
     h1 = homology_h1(X)
     reasons = []

@@ -1,16 +1,17 @@
 """Integer Smith normal form and first homology.
 
-The boundary maps of a verifier run reach several hundred rows and columns
-(705 x 450 for a 16 x 16 lattice) but are sparse, and almost every pivot they
-need is a unit.  ``smith_invariants`` therefore eliminates the +-1 pivots on a
-sparse copy first and leaves only what remains to the dense elimination.  A
-unit pivot clears its column by adding integer multiples of its row to other
-rows, and then clears its own row by column operations, so each step is
-unimodular and exact over Z; it splits off one invariant factor 1.  On d1
-these steps contract a spanning forest (rank V - components); on d2 the rows
-with one entry are free edges, so a collapsible disc empties completely.  The
-arithmetic stays in exact Python integers: no coefficient growth surprises,
-no float rank estimates.
+H1 = ker d1 / im d2.  A graph's d1 needs no elimination: its rank is the size
+of a spanning forest (V - components) and its invariant factors are all 1, so
+only d2 goes through ``smith_invariants``.  That matrix reaches several
+hundred rows and columns (705 x 450 for a 16 x 16 lattice) but is sparse, and
+almost every pivot it needs is a unit.  ``smith_invariants`` therefore
+eliminates the +-1 pivots on a sparse copy first and leaves only what remains
+to the dense elimination.  A unit pivot clears its column by adding integer
+multiples of its row to other rows, and then clears its own row by column
+operations, so each step is unimodular and exact over Z; it splits off one
+invariant factor 1.  On d2 the rows with one entry are free edges, so a
+collapsible disc empties completely.  The arithmetic stays in exact Python
+integers: no coefficient growth surprises, no float rank estimates.
 """
 from __future__ import annotations
 
@@ -168,12 +169,10 @@ class H1Structure:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_from_boundaries(n_edges: int, d1, d2) -> H1Structure:
-    """H1 = ker(d1) / im(d2) from the two integral boundary maps."""
-    inv1 = smith_invariants(d1) if d1 and d1[0] else []
+def homology_from_boundaries(n_edges: int, rank_d1: int, d2) -> H1Structure:
+    """H1 = ker(d1) / im(d2) from the number of edges, the rank of d1 and the
+    integral matrix of d2; the torsion is d2's invariant factors above 1."""
     inv2 = smith_invariants(d2) if d2 and d2[0] else []
-    rank1 = len(inv1)
-    rank2 = len(inv2)
-    free = n_edges - rank1 - rank2
+    free = n_edges - rank_d1 - len(inv2)
     torsion = tuple(d for d in inv2 if d > 1)
     return H1Structure(free, torsion)

@@ -19,10 +19,10 @@ import heapq
 import itertools
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .complexes import build_complex
+from .complexes import FlagComplex, build_complex
 from .homotopy import (HomotopyResult, _apply_unchecked, normalize_cycle,
                        reduce_cycle_homotopy, validate_cycle)
 from .patterns import (EMPTY_PATTERN, OffsetPattern, _dualize_unchecked,
@@ -375,49 +375,36 @@ def graph_to_system(n_vertices: int, edges) -> SurfaceSystem:
 
     The distance/spread relation then holds by construction, which makes
     these systems consistency fuzzers for the pipeline rather than
-    independent tests of the theory.  The double curve sum steps along BFS
-    geodesics (lexicographically least neighbor); no complexity descent is
-    declared, so reductions over these systems run under a step budget.
+    independent tests of the theory.  Distances and geodesics are read off
+    the graph as a 1-dimensional :class:`FlagComplex`: the double curve sum
+    takes the first step of each input's least geodesic (``shortest_path``)
+    towards the other.  No complexity descent is declared, so reductions
+    over these systems run under a step budget.
     """
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
     ids = [f"g{i}" for i in range(n_vertices)]
-    adj = {i: set() for i in range(n_vertices)}
+    edges = list(edges)
     for a, b in edges:
         if a == b:
             raise ValueError(f"self-loop at {a}")
         if not (0 <= a < n_vertices and 0 <= b < n_vertices):
             raise ValueError(f"edge ({a}, {b}) out of range")
-        adj[a].add(b)
-        adj[b].add(a)
-    dist = {}
-    for s in range(n_vertices):
-        level = {s: 0}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in level:
-                    level[y] = level[x] + 1
-                    queue.append(y)
-        if len(level) != n_vertices:
-            raise ValueError("graph must be connected")
-        dist[s] = level
+    G = FlagComplex(range(n_vertices), edges, max_dim=1)
+    if len(G.distances_from(0)) != n_vertices:
+        raise ValueError("graph must be connected")
     vertices = [(vid, Complexity(0, 0)) for vid in ids]
     patterns = {}
-    for i, j in itertools.combinations(range(n_vertices), 2):
-        d = dist[i][j]
-        if d >= 2:
-            _store(patterns, ids[i], ids[j], OffsetPattern(1, (1,) * (d - 1)))
-    sorted_adj = {i: sorted(adj[i]) for i in range(n_vertices)}
+    for i in range(n_vertices):
+        dist = G.distances_from(i)
+        for j in range(i + 1, n_vertices):
+            if dist[j] >= 2:
+                _store(patterns, ids[i], ids[j], OffsetPattern(1, (1,) * (dist[j] - 1)))
     index = {vid: i for i, vid in enumerate(ids)}
 
     def dcs(system, u, v):
         iu, iv = index[u], index[v]
-        d = dist[iu][iv]
-        minus = min(w for w in sorted_adj[iv] if dist[iu][w] == d - 1)
-        plus = min(w for w in sorted_adj[iu] if dist[iv][w] == d - 1)
-        return (ids[minus], ids[plus])
+        return (ids[G.shortest_path(iv, iu)[1]], ids[G.shortest_path(iu, iv)[1]])
 
     return SurfaceSystem(vertices, patterns, dcs=dcs, strict_descent=False)
 
@@ -481,6 +468,7 @@ def geodesic(system: SurfaceSystem, u, v):
     breadth-first geodesic in the disjointness complex.
     """
     if u == v:
+        system.complexity(u)  # an unknown vertex raises here
         return (u,)
     if not system.supports_dcs:
         path = build_complex(system, max_dim=1).shortest_path(v, u)
@@ -506,6 +494,11 @@ def geodesic(system: SurfaceSystem, u, v):
         cur = minus
 
 
+# a Complexity as a plain tuple: the same order, compared in C instead of by the
+# dataclass's generated __lt__, which dominated the descent's corner sort
+_as_tuple = attrgetter("primary", "secondary")
+
+
 def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None = None,
                            complex=None) -> HomotopyResult:
     """Contract a cycle by the complexity-descent procedure.
@@ -528,7 +521,7 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
     start = validate_cycle(X, cycle)
     if not system.supports_dcs:
         return reduce_cycle_homotopy(X, start, max_len=2 * len(start) + 2,
-                                     max_steps=max_steps or 100_000)
+                                     max_steps=100_000 if max_steps is None else max_steps)
     budget = max_steps if max_steps is not None else max(1, 10 * len(start) * len(X.vertices))
     c, moves = normalize_cycle(X, start)
     steps = 0
@@ -538,7 +531,7 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
             return HomotopyResult(False, start, tuple(moves), c, steps,
                                   "step budget exhausted")
         L = len(c)
-        order = sorted(range(L), key=lambda i: (_neg_key(system.complexity(c[i])), i))
+        order = sorted(range(L), key=lambda i: _as_tuple(system.complexity(c[i])), reverse=True)
         progressed = False
         for i in order:
             a, b = c[(i - 1) % L], c[(i + 1) % L]
@@ -575,7 +568,3 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
             return HomotopyResult(False, start, tuple(moves), c, steps,
                                   "no applicable move")
     return HomotopyResult(True, start, tuple(moves), c, steps, "complexity descent")
-
-
-def _neg_key(cx: Complexity):
-    return (-cx.primary, -cx.secondary)

@@ -31,4 +31,4 @@ def test_traced_verify_run_keeps_the_tracer_contract(tmp_path):
     claims = {c["claim"]: c for c in json.loads(report_file.read_text(encoding="utf-8"))["claims"]}
     assert (summary["counters"]["complexes.cycles_enumerated"]
             == claims["simple_connectivity"]["instances"] - 1)
-    assert summary["stats"]["homology.smith_invariants"][0] == 2
+    assert summary["stats"]["homology.smith_invariants"][0] == 1

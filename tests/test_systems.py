@@ -403,6 +403,12 @@ def test_geodesic_bfs_fallback_without_backend():
     assert path[0] == "u4" and path[-1] == "u0" and len(path) - 1 == 4
 
 
+def test_geodesic_rejects_an_unknown_vertex(line10):
+    for u, v in (("nope", "nope"), ("nope", "u0"), ("u0", "nope")):
+        with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+            geodesic(line10, u, v)
+
+
 def test_geodesic_reports_backend_contract_breach():
     base = kk.lattice_model(3, 3)
 
@@ -474,6 +480,16 @@ def test_reduction_budget_reports_inconclusive(hexagon_system):
     result = kakimizu_null_homotopy(hexagon_system, ring, max_steps=3)
     assert not result.reduced
     assert result.reason
+
+
+def test_zero_step_budget_stops_with_and_without_backend():
+    # max_steps=0 is a budget of no steps on both paths, not "use the default"
+    model = kk.lattice_model(3, 3)
+    triangle = build_complex(model, max_dim=2).simplices(2)[0]
+    for system in (model, load_system(save_system(model))):
+        result = kakimizu_null_homotopy(system, triangle, max_steps=0)
+        assert not result.reduced
+        assert result.reason == "step budget exhausted"
 
 
 def test_descent_reports_inconsistent_pattern_table():
