@@ -13,13 +13,16 @@ moves generate edge-path homotopy in a flag complex:
 
 Reduction searches this move graph.  The search builds only moves that are
 legal by construction (a corner it found retraced, a diagonal or detour it
-found with ``has_edge``/``common_neighbors``) and applies them by slicing,
-without re-validating them; ``replay`` is the one validator, and every
-success certificate must pass it move-by-move.  An inconclusive result
-proves nothing about the cycle.  The opposite certificate, that a cycle is
-not null-homotopic, is a mod-2 1-cocycle pairing odd with it; it is checked
-directly against the triangles of the complex, by ``_is_mod2_cocycle`` and
-``_pairs_odd``.
+found in the adjacency sets) and applies them by slicing, without
+re-validating them; ``replay`` is the one validator, and every success
+certificate must pass it move-by-move.  ``replay`` and ``apply_move`` step
+one list through the same checker, ``_step``.  The greedy descent never
+makes a cycle longer, so a state can recur only at its own length, and its
+visited set holds the states of the current length only.  An inconclusive
+result proves nothing about the cycle.  The opposite certificate, that a
+cycle is not null-homotopic, is a mod-2 1-cocycle pairing odd with it; it is
+checked directly against the triangles of the complex, by
+``_is_mod2_cocycle`` and ``_pairs_odd``.
 """
 from __future__ import annotations
 
@@ -33,22 +36,24 @@ def validate_cycle(X, cycle) -> tuple:
     c = tuple(cycle)
     if not c:
         raise ValueError("empty cycle")
+    adj = X._adjset
     for v in c:
-        X.require_vertex(v)
+        if v not in adj:
+            raise ValueError(f"unknown vertex {v!r}")
     if len(c) == 1:
         return c
-    for i, u in enumerate(c):
-        w = c[(i + 1) % len(c)]
+    for u, w in zip(c, c[1:] + c[:1]):
         if u == w:
             raise ValueError(f"repeated consecutive vertex {u!r}")
-        if not X.has_edge(u, w):
+        if w not in adj[u]:
             raise ValueError(f"({u!r}, {w!r}) is not an edge")
     return c
 
 
-def apply_move(X, cycle, move) -> tuple:
-    """Apply one move, validating its preconditions against the complex."""
-    c = tuple(cycle)
+def _step(adj, c, move) -> None:
+    """Apply one move to the list ``c`` in place, validating its
+    preconditions against the adjacency sets ``adj`` of the complex.  The one
+    move checker: ``apply_move`` and ``replay`` both step through it."""
     L = len(c)
     kind = move[0]
     if kind == "backtrack":
@@ -56,11 +61,13 @@ def apply_move(X, cycle, move) -> tuple:
         if L < 2 or not 0 <= i < L:
             raise ValueError(f"backtrack index {i} out of range for length {L}")
         if L == 2:
-            return (c[i],)
+            del c[1 - i]
+            return
         j, k = (i + 1) % L, (i + 2) % L
         if c[i] != c[k]:
             raise ValueError(f"no backtrack at index {i}")
-        return tuple(x for t, x in enumerate(c) if t not in (j, k))
+        del c[max(j, k)], c[min(j, k)]
+        return
     if kind == "shorten":
         i = move[1]
         if L < 3 or not 0 <= i < L:
@@ -68,9 +75,10 @@ def apply_move(X, cycle, move) -> tuple:
         j, k = (i + 1) % L, (i + 2) % L
         if c[i] == c[k]:
             raise ValueError(f"corner at {i} is a backtrack, not a shortening")
-        if not X.has_edge(c[i], c[k]):
+        if c[k] not in adj.get(c[i], ()):
             raise ValueError(f"no diagonal edge ({c[i]!r}, {c[k]!r})")
-        return tuple(x for t, x in enumerate(c) if t != j)
+        del c[j]
+        return
     if kind == "lengthen":
         i, v = move[1], move[2]
         if L < 2 or not 0 <= i < L:
@@ -78,18 +86,28 @@ def apply_move(X, cycle, move) -> tuple:
         j = (i + 1) % L
         if v == c[i] or v == c[j]:
             raise ValueError("detour vertex must differ from its endpoints")
-        if not (X.has_edge(c[i], v) and X.has_edge(v, c[j])):
+        if not (v in adj.get(c[i], ()) and c[j] in adj[v]):
             raise ValueError(f"{v!r} is not adjacent to both detour endpoints")
-        return c[: i + 1] + (v,) + c[i + 1:]
+        c.insert(i + 1, v)
+        return
     raise ValueError(f"unknown move kind {kind!r}")
 
 
+def apply_move(X, cycle, move) -> tuple:
+    """Apply one move, validating its preconditions against the complex."""
+    c = list(cycle)
+    _step(X._adjset, c, move)
+    return tuple(c)
+
+
 def replay(X, cycle, moves) -> tuple:
-    """Fold a move sequence over a starting cycle, validating every step."""
-    c = validate_cycle(X, cycle)
+    """Fold a move sequence over a starting cycle, validating every step on
+    one list."""
+    c = list(validate_cycle(X, cycle))
+    adj = X._adjset
     for mv in moves:
-        c = apply_move(X, c, mv)
-    return c
+        _step(adj, c, mv)
+    return tuple(c)
 
 
 def _replays_to_point(X, start, result) -> bool:
@@ -142,7 +160,7 @@ def _pairs_odd(cocycle, cycle) -> bool:
 def _apply_unchecked(c, move) -> tuple:
     """Apply a move known to be legal for the tuple ``c`` by slicing, with no
     precondition checks.  Only the search calls this, on moves it built
-    itself; ``apply_move`` stays the independent checker."""
+    itself; ``_step`` stays the independent checker."""
     L = len(c)
     kind, i = move[0], move[1]
     if kind == "backtrack":
@@ -221,47 +239,59 @@ class HomotopyResult:
 
 
 def _shorten_candidates(X, c):
+    adj = X._adjset
     L = len(c)
     for i in range(L):
         k = (i + 2) % L
-        if c[i] != c[k] and X.has_edge(c[i], c[k]):
+        if c[i] != c[k] and c[k] in adj[c[i]]:
             yield i
 
 
 def _greedy_descend(X, c, budget):
     """Deterministic descent: cut corners when a diagonal exists, otherwise
     swap a corner vertex for a neighbor coning over three consecutive
-    vertices.  A visited set keeps the substitutions from cycling."""
+    vertices.  A visited set keeps the substitutions from cycling.
+
+    The length never grows: a cut drops a vertex, and a substitution keeps
+    the length or, after erasing backtracks, shortens.  A candidate can
+    therefore equal only a visited state of its own length, and every such
+    state was visited at the current length.  So ``seen`` holds the states
+    of the current length only; it is emptied when the length drops, and
+    built (from the current state) only when a substitution first needs it.
+    """
+    adj = X._adjset
     moves = []
     steps = 0
-    seen = {canonical_cycle(c)}
+    seen = None
     while len(c) > 1 and steps < budget:
         steps += 1
         L = len(c)
-        applied = False
-        for i in _shorten_candidates(X, c):
+        i = next(_shorten_candidates(X, c), None)
+        if i is not None:
             mv = ("shorten", i)
-            c2, extra = normalize_cycle(X, _apply_unchecked(c, mv))
-            c = c2
+            c, extra = normalize_cycle(X, _apply_unchecked(c, mv))
             moves += [mv] + extra
-            applied = True
-            break
-        if applied:
-            seen.add(canonical_cycle(c))
+            seen = None
             continue
+        if seen is None:
+            seen = {canonical_cycle(c)}
+        applied = False
         for i in range(L):
             j, k = (i + 1) % L, (i + 2) % L
-            for v in X.common_neighbors(c[i], c[j]):
-                if v in (c[i], c[j], c[k]) or not X.has_edge(v, c[k]):
+            for v in sorted(adj[c[i]] & adj[c[j]]):
+                if v in (c[i], c[j], c[k]) or c[k] not in adj[v]:
                     continue
                 mv1 = ("lengthen", j, v)
                 c1 = _apply_unchecked(c, mv1)
                 mv2 = ("shorten", i if i < j else L)
                 c2, extra = normalize_cycle(X, _apply_unchecked(c1, mv2))
-                key = canonical_cycle(c2)
-                if key in seen:
-                    continue
-                seen.add(key)
+                if len(c2) == L:
+                    key = canonical_cycle(c2)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                else:
+                    seen = None
                 c = c2
                 moves += [mv1, mv2] + extra
                 applied = True

@@ -30,11 +30,21 @@ class ReductionBounds:
     """Budgets for the cycle checks: enumerate cycles up to
     ``max_cycle_len`` edges (residues and the whole complex); in
     ``simple_connectivity``, the one claim that searches, let searches grow
-    cycles to ``max_len`` and spend at most ``max_steps`` steps per cycle."""
+    cycles to ``max_len`` and spend at most ``max_steps`` steps per cycle.
+
+    A cap below 3 would enumerate no cycle and pass with no witness, so it is
+    refused.  ``max_len`` binds only the breadth-first phase of a search: its
+    greedy descent never makes a cycle longer (a cut drops a vertex, a
+    substitution keeps or drops the length), which is also why the descent
+    keeps visited states of the current length only."""
 
     max_cycle_len: int = 8
     max_len: int = 16
     max_steps: int = 100_000
+
+    def __post_init__(self):
+        if self.max_cycle_len < 3:
+            raise ValueError("max_cycle_len must be at least 3")
 
 
 @dataclass

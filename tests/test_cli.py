@@ -213,6 +213,18 @@ def test_residue_claim_ignores_the_search_budget(capsys, lattice_file):
     assert ["simple_connectivity", "1275", "0", "1242", "inconclusive"] in rows
 
 
+@pytest.mark.parametrize("cap", ["2", "-1"])
+def test_verify_refuses_a_cycle_cap_below_3(capsys, tmp_path, cap):
+    # such a cap enumerates no cycle, so a pass would rest on no witness
+    path = tmp_path / "lattice3.json"
+    assert main(["gen", "lattice", "--width", "3", "--height", "3", "-o", str(path)]) == 0
+    code, out, err = run_cli(capsys, "verify", str(path), "--suite", "sc",
+                             "--max-cycle-len", cap)
+    assert code == 2
+    assert out == ""
+    assert "max_cycle_len must be at least 3" in err
+
+
 def test_geodesic_subcommand(capsys, line_file):
     code, out, _ = run_cli(capsys, "geodesic", line_file, "-u", "u0", "-v", "u5")
     assert code == 0

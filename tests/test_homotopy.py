@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -8,7 +9,8 @@ import kakimizu as kk
 from kakimizu import (FlagComplex, apply_move, build_complex, canonical_cycle,
                       normalize_cycle, reduce_cycle_homotopy, replay, validate_cycle)
 from kakimizu.cli import main
-from kakimizu.homotopy import _apply_unchecked, _cone_homotopy, _replays_to_point
+from kakimizu.homotopy import (_apply_unchecked, _cone_homotopy, _greedy_descend,
+                               _replays_to_point)
 
 from conftest import connected_graph_systems
 
@@ -201,14 +203,62 @@ def test_cone_witness_fails_replay_without_a_cone():
     assert not _replays_to_point(X, (0, 1, 2, 3), _cone_homotopy((0, 1, 2, 3), 4))
 
 
-# -- the search's unchecked move kernel against apply_move --------------------
+# -- the move kernels against a tuple-based reference checker -----------------
+
+
+def reference_apply_move(X, cycle, move) -> tuple:
+    """``apply_move`` as it was before it stepped a list in place: every move
+    rebuilds the tuple.  The reference for ``apply_move`` and ``replay``."""
+    c = tuple(cycle)
+    L = len(c)
+    kind = move[0]
+    if kind == "backtrack":
+        i = move[1]
+        if L < 2 or not 0 <= i < L:
+            raise ValueError(f"backtrack index {i} out of range for length {L}")
+        if L == 2:
+            return (c[i],)
+        j, k = (i + 1) % L, (i + 2) % L
+        if c[i] != c[k]:
+            raise ValueError(f"no backtrack at index {i}")
+        return tuple(x for t, x in enumerate(c) if t not in (j, k))
+    if kind == "shorten":
+        i = move[1]
+        if L < 3 or not 0 <= i < L:
+            raise ValueError(f"shorten index {i} out of range for length {L}")
+        j, k = (i + 1) % L, (i + 2) % L
+        if c[i] == c[k]:
+            raise ValueError(f"corner at {i} is a backtrack, not a shortening")
+        if not X.has_edge(c[i], c[k]):
+            raise ValueError(f"no diagonal edge ({c[i]!r}, {c[k]!r})")
+        return tuple(x for t, x in enumerate(c) if t != j)
+    if kind == "lengthen":
+        i, v = move[1], move[2]
+        if L < 2 or not 0 <= i < L:
+            raise ValueError(f"lengthen index {i} out of range for length {L}")
+        j = (i + 1) % L
+        if v == c[i] or v == c[j]:
+            raise ValueError("detour vertex must differ from its endpoints")
+        if not (X.has_edge(c[i], v) and X.has_edge(v, c[j])):
+            raise ValueError(f"{v!r} is not adjacent to both detour endpoints")
+        return c[: i + 1] + (v,) + c[i + 1:]
+    raise ValueError(f"unknown move kind {kind!r}")
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the message of the ValueError it raised."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
 
 
 @st.composite
 def complexes_with_cycles(draw):
-    """A ``graph_to_system`` flag complex on a random connected graph, and a
-    closed walk in it: a random walk closed by a geodesic back to its start,
-    so it may retrace edges and revisit vertices."""
+    """A ``graph_to_system`` flag complex on a random connected graph, a
+    closed walk in it, and picks that choose a sequence of legal moves from
+    it.  The walk is a random walk closed by a geodesic back to its start, so
+    it may retrace edges and revisit vertices."""
     n = draw(st.integers(2, 8))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     pairs = [p for p in itertools.combinations(range(n), 2) if p not in tree]
@@ -217,39 +267,132 @@ def complexes_with_cycles(draw):
     walk = [draw(st.sampled_from(sorted(X.vertices)))]
     for _ in range(draw(st.integers(1, 9))):
         walk.append(draw(st.sampled_from(sorted(X.neighbors(walk[-1])))))
+    picks = tuple(draw(st.lists(st.integers(0, 999), max_size=8)))
     if walk[-1] == walk[0]:
-        return X, tuple(walk[:-1])
-    return X, tuple(walk) + X.shortest_path(walk[-1], walk[0])[1:-1]
+        return X, tuple(walk[:-1]), picks
+    return X, tuple(walk) + X.shortest_path(walk[-1], walk[0])[1:-1], picks
 
 
 K4 = FlagComplex("abcd", list(itertools.combinations("abcd", 2)), max_dim=3)
 
 
+def every_move(X, c):
+    """Every move on ``c``, legal or not: indices one past each end, detours
+    through every vertex and one unknown vertex, and an unknown kind."""
+    L = len(c)
+    moves = [(kind, i) for kind in ("backtrack", "shorten") for i in range(-1, L + 1)]
+    moves += [("lengthen", i, v) for i in range(-1, L + 1) for v in sorted(X.vertices) + ["?"]]
+    return moves + [("teleport", 0)]
+
+
 @given(complexes_with_cycles())
-@example((K4, ("a", "b", "a", "c")))        # backtrack at L-2 erases c[L-1], c[0]
-@example((K4, ("a", "b", "c", "b")))        # backtrack at L-1 erases c[0], c[1]
-@example((K4, ("a", "b")))                  # a retraced edge, either index
-@example((K4, ("a", "b", "c")))             # shorten at L-1 cuts c[0]
-@example((K4, ("a", "d", "b", "c")))        # a detour's ("shorten", L) after lengthen
+@example((K4, ("a", "b", "a", "c"), (0, 3)))   # backtrack at L-2 erases c[L-1], c[0]
+@example((K4, ("a", "b", "c", "b"), (1,)))     # backtrack at L-1 erases c[0], c[1]
+@example((K4, ("a", "b"), (0, 1)))             # a retraced edge, either index
+@example((K4, ("a", "b", "c"), (2, 2)))        # shorten at L-1 cuts c[0]
+@example((K4, ("a", "d", "b", "c"), (7,)))     # a detour's ("shorten", L) after lengthen
 def test_unchecked_kernel_matches_apply_move(case):
-    X, c = case
+    X, c, picks = case
     validate_cycle(X, c)
-    vertices = sorted(X.vertices)
     cycles = [c]
     for i in range(len(c)):     # one lengthen deep, as a detour's shorten sees it
         j = (i + 1) % len(c)
         for v in X.common_neighbors(c[i], c[j])[:1]:
             cycles.append(apply_move(X, c, ("lengthen", i, v)))
     for cyc in cycles:
-        L = len(cyc)
-        moves = [(kind, i) for kind in ("backtrack", "shorten") for i in range(L)]
-        moves += [("lengthen", i, v) for i in range(L) for v in vertices]
-        for mv in moves:
-            try:
-                expected = apply_move(X, cyc, mv)
-            except ValueError:
-                continue
-            assert _apply_unchecked(cyc, mv) == expected, (cyc, mv)
+        for mv in every_move(X, cyc):
+            expected = outcome(reference_apply_move, X, cyc, mv)
+            assert outcome(apply_move, X, cyc, mv) == expected, (cyc, mv)
+            if expected[0] == "ok":
+                assert _apply_unchecked(cyc, mv) == expected[1], (cyc, mv)
+    # replay of every prefix of a legal sequence is the reference's fold
+    cyc, moves = c, []
+    assert replay(X, c, moves) == cyc
+    for pick in picks:
+        legal = [mv for mv in every_move(X, cyc)
+                 if outcome(reference_apply_move, X, cyc, mv)[0] == "ok"]
+        if not legal:
+            break
+        moves.append(legal[pick % len(legal)])
+        cyc = reference_apply_move(X, cyc, moves[-1])
+        assert replay(X, c, moves) == cyc, moves
+
+
+# -- the greedy descent against a full-history reference ----------------------
+
+
+def reference_greedy_descend(X, c, budget):
+    """``_greedy_descend`` as it was when its visited set kept every state of
+    the descent, keyed on every move.  The reference for the length-scoped,
+    lazily keyed visited set."""
+    def shorten_candidates(c):
+        L = len(c)
+        for i in range(L):
+            k = (i + 2) % L
+            if c[i] != c[k] and X.has_edge(c[i], c[k]):
+                yield i
+
+    moves = []
+    steps = 0
+    seen = {canonical_cycle(c)}
+    while len(c) > 1 and steps < budget:
+        steps += 1
+        L = len(c)
+        applied = False
+        for i in shorten_candidates(c):
+            mv = ("shorten", i)
+            c2, extra = normalize_cycle(X, _apply_unchecked(c, mv))
+            c = c2
+            moves += [mv] + extra
+            applied = True
+            break
+        if applied:
+            seen.add(canonical_cycle(c))
+            continue
+        for i in range(L):
+            j, k = (i + 1) % L, (i + 2) % L
+            for v in X.common_neighbors(c[i], c[j]):
+                if v in (c[i], c[j], c[k]) or not X.has_edge(v, c[k]):
+                    continue
+                mv1 = ("lengthen", j, v)
+                c1 = _apply_unchecked(c, mv1)
+                mv2 = ("shorten", i if i < j else L)
+                c2, extra = normalize_cycle(X, _apply_unchecked(c1, mv2))
+                key = canonical_cycle(c2)
+                if key in seen:
+                    continue
+                seen.add(key)
+                c = c2
+                moves += [mv1, mv2] + extra
+                applied = True
+                break
+            if applied:
+                break
+        if not applied:
+            break
+    return c, moves, steps
+
+
+@given(connected_graph_systems(), st.integers(1, 50))
+def test_greedy_descent_matches_the_full_history_reference(system, budget):
+    X = build_complex(system)
+    for cycle in kk.embedded_cycles(X, 7):
+        assert _greedy_descend(X, cycle, budget) == reference_greedy_descend(X, cycle, budget)
+
+
+def test_lattice_witnesses_are_pinned():
+    # every generic-search witness on a saved and reloaded 5x5 lattice at the
+    # default bounds, move for move, as the full-history descent gave them
+    X = build_complex(kk.load_system(kk.save_system(kk.lattice_model(5, 5))))
+    digest = hashlib.sha256()
+    cycles = substituted = 0
+    for cycle in kk.embedded_cycles(X, 8):
+        r = reduce_cycle_homotopy(X, cycle, max_len=16, max_steps=100_000)
+        digest.update(repr((r.moves, r.final, r.steps, r.reason)).encode())
+        cycles += 1
+        substituted += any(mv[0] == "lengthen" for mv in r.moves)
+    assert (cycles, substituted) == (1274, 222)
+    assert digest.hexdigest() == "a287c5b3ffd1d9ee5261a8129252f511466879db916d3f0286e14fb751ad5421"
 
 
 @st.composite
