@@ -22,7 +22,9 @@ visited set holds the states of the current length only.  An inconclusive
 result proves nothing about the cycle.  The opposite certificate, that a
 cycle is not null-homotopic, is a mod-2 1-cocycle pairing odd with it; it is
 checked directly against the triangles of the complex, by
-``_is_mod2_cocycle`` and ``_pairs_odd``.
+``_is_mod2_cocycle`` and ``_pairs_odd``.  Residues need no witness from
+here: a residue of a flag complex is a cone, certified in ``verify`` from
+the adjacency sets alone.
 """
 from __future__ import annotations
 
@@ -117,25 +119,6 @@ def _replays_to_point(X, start, result) -> bool:
         return replay(X, start, result.moves) == result.final and len(result.final) <= 1
     except ValueError:
         return False
-
-
-def _cone_homotopy(cycle, apex) -> HomotopyResult:
-    """Contract an embedded cycle across a cone with apex ``apex``, adjacent
-    to every vertex of the cycle, with no search.  Off the cycle: detour
-    through the apex, cut the corner after it L-1 times, erase the last edge
-    (L+1 moves).  At index j: cut the corner at the apex down to an edge,
-    then erase it (L-1 moves).  Only replay decides whether it is a cone."""
-    start = tuple(cycle)
-    if apex in start:
-        j = start.index(apex)
-        moves = [("shorten", min(j, n - 1)) for n in range(len(start), 2, -1)]
-    else:
-        moves = [("lengthen", 0, apex)] + [("shorten", 1)] * (len(start) - 1)
-    moves.append(("backtrack", 0))
-    final = start
-    for mv in moves:
-        final = _apply_unchecked(final, mv)
-    return HomotopyResult(True, start, tuple(moves), final, 0, "cone")
 
 
 def _is_mod2_cocycle(X, cocycle) -> bool:

@@ -520,7 +520,7 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
     X = complex if complex is not None else build_complex(system)
     start = validate_cycle(X, cycle)
     if not system.supports_dcs:
-        return reduce_cycle_homotopy(X, start, max_len=2 * len(start) + 2,
+        return reduce_cycle_homotopy(X, start,
                                      max_steps=100_000 if max_steps is None else max_steps)
     budget = max_steps if max_steps is not None else max(1, 10 * len(start) * len(X.vertices))
     c, moves = normalize_cycle(X, start)

@@ -103,6 +103,15 @@ def connected_graph_systems(draw):
     return kk.graph_to_system(n, tree + [p for p, k in zip(pairs, keep) if k])
 
 
+@st.composite
+def flag_complexes(draw):
+    """Clique complex of a random graph on up to 9 vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return kk.FlagComplex(range(n), [e for e, k in zip(pairs, keep) if k], max_dim=3)
+
+
 def complex_to_nx(X):
     import networkx as nx
 

@@ -175,20 +175,20 @@ def test_budget_stopped_verify_output_is_pinned(capsys, tmp_path):
     assert digest(path.read_bytes()) == (
         "0f9a6d48f568529fadbf2a48a8e8224eacd75faff841fa794e34233e56bcffe5")
     assert digest(out.encode()) == (
-        "4d8483cb3c289be9e9be8048590e1cda06edca5d69e7ac8bcacde54f4330bb0a")
+        "f08c66e89b5b90f76524c77e0baf8051a4c5d38812c0338d90f442d6962ec464")
     assert digest(report.read_bytes()) == (
-        "e52b038dfebb7a0ce4aacdfa8751d3a34a4e79bc2d0b76a76a74822c14b0be9d")
+        "9cd11e374d457fc6e2f8db8ad2337a96a2025a83b651b22c184aad4f8d8e7255")
 
 
 @pytest.mark.parametrize("gen, file_sha, out_sha, report_sha", [
     (("lattice", "--width", "5", "--height", "5"),
      "3115447db706cfd65e4e4a8110a94b9825af5caabea0f7de6c1b6088039aabc6",
-     "19f47331e98689d9e97c9e5c3afab46791a31774ddaee01fc74a9890ffcd74f7",
-     "ebaf311afef53aa799ee852d59311ae3b1ad4e1e00107fbc55d3a5516e606275"),
+     "b744bfef9e924c4a38ba4af2b8c746d78fcadc0e8ea3a1c815daa1896d41412f",
+     "f07b14847b264df0436b683ba5366f11a67666460c229ff278ed7d0f1ed34daa"),
     (("line", "--min", "0", "--max", "5"),
      "2d05755da2e7fc40d477925eb7073da5e6194cd1fe8b94adb450b9a4a3710f18",
-     "a64d13349e4572e12426379e4cb8e6cf666efd1546844c0a9da0fa3160156380",
-     "4d2d48bc6b5a329cc1e8136c9e0499f8812b0ca10a605efeeb92b77a8e95e949"),
+     "4d3658f78e810d8601df5b703be348e92702be0b22bb63e870bfbd42967adc44",
+     "e29766a2d8ac60d25387948b5638da267c2b8e54eed6d0d1cd8ece87cf5918ab"),
 ])
 def test_passing_verify_output_is_pinned(capsys, tmp_path, gen, file_sha, out_sha,
                                          report_sha):
@@ -203,14 +203,23 @@ def test_passing_verify_output_is_pinned(capsys, tmp_path, gen, file_sha, out_sh
 
 
 def test_residue_claim_ignores_the_search_budget(capsys, lattice_file):
-    # residue cycles contract by coning, so a one-step budget leaves only the
-    # whole-complex cycles inconclusive
+    # each residue is certified as a cone with no search, so a one-step
+    # budget leaves only the whole-complex cycles inconclusive
     code, out, _ = run_cli(capsys, "verify", lattice_file, "--suite", "sc",
                            "--max-steps", "1")
     assert code == 3
     rows = [line.split() for line in out.splitlines()]
-    assert ["residues_simply_connected", "527", "0", "0", "pass"] in rows
+    assert ["residues_simply_connected", "113", "0", "0", "pass"] in rows
     assert ["simple_connectivity", "1275", "0", "1242", "inconclusive"] in rows
+
+
+def test_residue_claim_on_a_path_has_one_instance_per_simplex(capsys, line_file):
+    # a path has no cycle, but every simplex has a residue to certify
+    X = kk.build_complex(kk.load_system(open(line_file, encoding="utf-8").read()))
+    code, out, _ = run_cli(capsys, "verify", line_file, "--suite", "sc")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert ["residues_simply_connected", str(len(X.simplices())), "0", "0", "pass"] in rows
 
 
 @pytest.mark.parametrize("cap", ["2", "-1"])

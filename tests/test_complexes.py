@@ -10,7 +10,8 @@ import kakimizu as kk
 import kakimizu.homology
 from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
 
-from conftest import complex_to_nx, connected_graph_systems, random_graph_systems
+from conftest import (complex_to_nx, connected_graph_systems, flag_complexes,
+                      random_graph_systems)
 
 
 def triangle():
@@ -252,15 +253,6 @@ def test_locally_k_large_examples(lattice5):
     ok, witness = kk.is_locally_k_large(cone, 5)
     assert not ok
     assert witness["cycle"] == ("a", "b", "c", "d")
-
-
-@st.composite
-def flag_complexes(draw):
-    """Clique complex of a random graph on up to 9 vertices."""
-    n = draw(st.integers(1, 9))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return FlagComplex(range(n), [e for e, k in zip(pairs, keep) if k], max_dim=3)
 
 
 def chordless(G, max_len):

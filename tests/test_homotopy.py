@@ -9,7 +9,7 @@ import kakimizu as kk
 from kakimizu import (FlagComplex, apply_move, build_complex, canonical_cycle,
                       normalize_cycle, reduce_cycle_homotopy, replay, validate_cycle)
 from kakimizu.cli import main
-from kakimizu.homotopy import (_apply_unchecked, _cone_homotopy, _greedy_descend,
+from kakimizu.homotopy import (HomotopyResult, _apply_unchecked, _greedy_descend,
                                _replays_to_point)
 
 from conftest import connected_graph_systems
@@ -171,6 +171,26 @@ def test_unreduced_traces_replay_to_their_final_cycle(tmp_path):
 
 
 # -- cone witnesses ------------------------------------------------------------
+
+
+def _cone_homotopy(cycle, apex) -> HomotopyResult:
+    """Oracle for the theorem that a residue is a cone: contract an embedded
+    cycle across a cone with apex ``apex``, adjacent to every vertex of the
+    cycle, with no search.  Off the cycle: detour through the apex, cut the
+    corner after it L-1 times, erase the last edge (L+1 moves).  At index j:
+    cut the corner at the apex down to an edge, then erase it (L-1 moves).
+    Only replay decides whether it is a cone."""
+    start = tuple(cycle)
+    if apex in start:
+        j = start.index(apex)
+        moves = [("shorten", min(j, n - 1)) for n in range(len(start), 2, -1)]
+    else:
+        moves = [("lengthen", 0, apex)] + [("shorten", 1)] * (len(start) - 1)
+    moves.append(("backtrack", 0))
+    final = start
+    for mv in moves:
+        final = _apply_unchecked(final, mv)
+    return HomotopyResult(True, start, tuple(moves), final, 0, "cone")
 
 
 def test_cone_witness_replays_in_every_residue():

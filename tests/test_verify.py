@@ -2,7 +2,7 @@ import json
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -17,8 +17,10 @@ from kakimizu import (FlagComplex, ReductionBounds, build_complex,
                       verify_link_girth, verify_residues_sc,
                       verify_simple_connectivity, verify_st_bound)
 from kakimizu.homotopy import _replays_to_point
+from kakimizu.verify import _residue_vertices
 
-from conftest import complex_to_nx, connected_graph_systems, random_graph_systems
+from conftest import (complex_to_nx, connected_graph_systems, flag_complexes,
+                      random_graph_systems)
 
 NONTRIVIAL = "nontrivial in H1(X; Z/2)"
 
@@ -85,6 +87,15 @@ def test_residues_simply_connected_on_models(line10, lattice5):
     for system in (line10, lattice5):
         X = build_complex(system, max_dim=3)
         assert verify_residues_sc(X).verdict == "pass"
+
+
+@given(st.one_of(connected_graph_systems().map(build_complex), flag_complexes()))
+def test_every_residue_is_certified_as_a_cone(X):
+    report = verify_residues_sc(X)
+    assert report.instances == len(X.simplices())
+    assert (report.verdict, report.failures, report.inconclusive) == ("pass", [], [])
+    for s in X.simplices():
+        assert set(X.residue(s).vertices) == _residue_vertices(X._adjset, s)
 
 
 def test_simple_connectivity_passes_with_witnesses(lattice5):
@@ -254,14 +265,17 @@ def _unreplayable(X, cycle, max_len=None, max_steps=100_000):
     return kk.HomotopyResult(True, start, (("shorten", 0),), (start[0],), 1, "claimed")
 
 
-def test_residue_reductions_must_replay(monkeypatch):
-    monkeypatch.setattr(kakimizu.verify, "_cone_homotopy",
-                        lambda cycle, apex: _unreplayable(None, cycle))
-    X = FlagComplex("abc", [("a", "b"), ("b", "c"), ("a", "c")], max_dim=3)
+def test_residue_claim_names_the_vertex_its_apex_misses():
+    # the certificate reads the adjacency sets; drop the edge {0, 1} after
+    # construction, and the materialized simplex (0, 1) has apex 0 without 1
+    X = FlagComplex(range(3), [(0, 1), (1, 2)], max_dim=3)
+    X._adjset = {**X._adjset, 0: X._adjset[0] - {1}, 1: X._adjset[1] - {0}}
     report = verify_residues_sc(X)
+    assert report.instances == len(X.simplices()) == 5
+    assert report.failures == [{"simplex": [0, 1], "vertex": 1,
+                                "problem": "residue is not a cone"}]
+    assert report.inconclusive == []
     assert report.verdict == "fail"
-    assert len(report.failures) == report.instances > 0
-    assert all(f["problem"] == "witness failed to replay" for f in report.failures)
 
 
 def test_simple_connectivity_reductions_must_replay(monkeypatch):
