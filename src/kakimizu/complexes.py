@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .homology import H1Structure, homology_from_boundaries
+from . import homology
+from .homology import H1Structure
 
 
 class FlagComplex:
@@ -48,6 +49,7 @@ class FlagComplex:
         self._distances = {}
         self._link_cycles = {}
         self._forest = None
+        self._relators = None
         self._h1 = None
         self._cocycles = None
 
@@ -327,29 +329,34 @@ def _spanning_forest(X: FlagComplex) -> frozenset:
     return X._forest
 
 
-def boundary_matrices(X: FlagComplex):
-    """Integral boundary map d2 (triangles -> sorted edges), with orientations
-    induced by sorted vertex order.  d1 needs no matrix: its rank is the size
-    of a spanning forest, and it has no torsion."""
-    eidx = {e: i for i, e in enumerate(sorted(X.edges))}
-    tris = X.simplices(2)
-    d2 = [[0] * len(tris) for _ in range(len(eidx))]
-    for j, (u, v, w) in enumerate(tris):
-        d2[eidx[(v, w)]][j] = 1
-        d2[eidx[(u, w)]][j] = -1
-        d2[eidx[(u, v)]][j] = 1
-    return d2
+def _relators(X: FlagComplex) -> tuple:
+    """Presentation by the spanning forest: the sorted non-forest edges (the
+    generators) and, per triangle in ``X.simplices(2)`` order, its boundary
+    oriented by vertex order with the forest edges dropped, as an abelianized
+    relator {generator index: +-1}.  No relator is empty: a forest has no
+    cycle."""
+    if X._relators is None:
+        generators = tuple(sorted(X.edges - _spanning_forest(X)))
+        index = {e: i for i, e in enumerate(generators)}
+        relators = tuple({index[e]: sign for e, sign in (((u, v), 1), ((u, w), -1), ((v, w), 1))
+                          if e in index} for u, v, w in X.simplices(2))
+        X._relators = (generators, relators)
+    return X._relators
 
 
 def homology_h1(X: FlagComplex) -> H1Structure:
-    """First integral homology: rank d1 is the spanning forest's size, and
-    the Smith normal form of d2 gives its rank and the torsion.  Requires the
+    """First integral homology from the spanning-forest presentation: ker d1
+    maps isomorphically onto Z^generators (one fundamental cycle each) and
+    im d2 onto the relators' span, so the free rank is generators - rank and
+    the torsion is the relators' Smith invariants above 1.  Requires the
     2-skeleton, i.e. a complex built with ``max_dim >= 2``."""
     if X.max_dim < 2:
         raise ValueError("homology needs the 2-skeleton; rebuild with max_dim >= 2")
     if X._h1 is None:
-        X._h1 = homology_from_boundaries(len(X.edges), len(_spanning_forest(X)),
-                                         boundary_matrices(X))
+        generators, relators = _relators(X)
+        factors = homology.smith_invariants(relators)
+        X._h1 = H1Structure(len(generators) - len(factors),
+                            tuple(d for d in factors if d > 1))
     return X._h1
 
 
@@ -357,20 +364,20 @@ def mod2_cocycles(X: FlagComplex) -> tuple:
     """Basis of H^1(X; Z/2): one tuple of sorted edges per cocycle, the edges
     where it takes the value 1.  Requires the 2-skeleton.
 
-    Each class has exactly one cocycle vanishing on a spanning forest, so the
-    unknowns are the edges outside the BFS forest, and each triangle asks that
-    its unknowns sum to 0.  GF(2) elimination of those constraints, with rows
-    as Python int bitsets kept in reduced form, leaves one free unknown per
-    basis member: dim H^1(X; Z/2) = free rank + number of even torsion factors.
+    Each class has exactly one cocycle vanishing on the spanning forest, so
+    the unknowns are the generators of ``_relators``, and each relator, read
+    mod 2, asks that its unknowns sum to 0.  GF(2) elimination of those
+    constraints, with rows as Python int bitsets kept in reduced form, leaves
+    one free unknown per basis member: dim H^1(X; Z/2) = free rank + number
+    of even torsion factors.
     """
     if X.max_dim < 2:
         raise ValueError("cohomology needs the 2-skeleton; rebuild with max_dim >= 2")
     if X._cocycles is None:
-        unknowns = sorted(X.edges - _spanning_forest(X))
-        bit = {e: 1 << i for i, e in enumerate(unknowns)}
+        unknowns, relators = _relators(X)
         rows = {}  # pivot bit -> row; no row holds another row's pivot
-        for u, v, w in X.simplices(2):
-            row = bit.get((u, v), 0) ^ bit.get((u, w), 0) ^ bit.get((v, w), 0)
+        for relator in relators:
+            row = sum(1 << i for i in relator)
             for p, r in rows.items():
                 if row & p:
                     row ^= r

@@ -1,15 +1,14 @@
 """Integer Smith normal form and first homology.
 
-H1 = ker d1 / im d2.  A graph's d1 needs no elimination: its rank is the size
-of a spanning forest (V - components) and its invariant factors are all 1, so
-only d2 goes through ``smith_invariants``.  That matrix reaches several
-hundred rows and columns (705 x 450 for a 16 x 16 lattice) but is sparse, and
-almost every pivot it needs is a unit.  ``smith_invariants`` therefore
-eliminates the +-1 pivots on a sparse copy first and leaves only what remains
-to the dense elimination.  A unit pivot clears its column by adding integer
-multiples of its row to other rows, and then clears its own row by column
-operations, so each step is unimodular and exact over Z; it splits off one
-invariant factor 1.  On d2 the rows with one entry are free edges, so a
+``complexes.homology_h1`` presents H1 by the spanning forest: the non-forest
+edges generate and each triangle gives a relator, so only the relators go
+through ``smith_invariants`` (450 sparse rows on 450 generators for a 16 x 16
+lattice).  Almost every pivot they need is a unit, so ``smith_invariants``
+eliminates the +-1 pivots on the sparse rows first and leaves only what
+remains to the dense elimination.  A unit pivot clears its column by adding
+integer multiples of its row to other rows, then its own row by column
+operations, so each step is unimodular and exact over Z and splits off one
+invariant factor 1.  A relator with one entry is a free edge, so a
 collapsible disc empties completely.  The arithmetic stays in exact Python
 integers: no coefficient growth surprises, no float rank estimates.
 """
@@ -23,18 +22,16 @@ from dataclasses import dataclass
 def smith_invariants(rows) -> list[int]:
     """Nonzero invariant factors of an integer matrix, as a divisibility chain.
 
-    Unit pivots are eliminated on sparse rows, the row with the fewest
-    nonzeros first (to limit fill), each adding one factor 1; the rows left
-    without a +-1 entry go to ``_dense_invariants``.
+    ``rows`` is a sequence of sparse rows, each a mapping {column: nonzero
+    int}; they are copied, not modified.  Unit pivots are eliminated first,
+    the row with the fewest nonzeros first (to limit fill), each adding one
+    factor 1; the rows left without a +-1 entry go to ``_dense_invariants``.
     """
-    sparse = {}  # row index -> {column: nonzero entry}
-    cols = {}    # column -> indices of the rows with a nonzero there
-    for i, r in enumerate(rows):
-        row = {j: int(a) for j, a in enumerate(r) if a}
-        if row:
-            sparse[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
+    sparse = {i: dict(r) for i, r in enumerate(rows) if r}
+    cols = {}  # column -> indices of the rows with a nonzero there
+    for i, row in sparse.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     heap = [(len(row), i) for i, row in sparse.items()]
     heapq.heapify(heap)
     units = 0
@@ -168,11 +165,3 @@ class H1Structure:
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-
-def homology_from_boundaries(n_edges: int, rank_d1: int, d2) -> H1Structure:
-    """H1 = ker(d1) / im(d2) from the number of edges, the rank of d1 and the
-    integral matrix of d2; the torsion is d2's invariant factors above 1."""
-    inv2 = smith_invariants(d2) if d2 and d2[0] else []
-    free = n_edges - rank_d1 - len(inv2)
-    torsion = tuple(d for d in inv2 if d > 1)
-    return H1Structure(free, torsion)

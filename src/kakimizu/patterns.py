@@ -53,11 +53,11 @@ def validate_pattern(p: OffsetPattern) -> list[str]:
     Violations are data, not failures: loaders and tests inspect them.
     """
     problems = []
-    if not isinstance(p.support_start, int) or isinstance(p.support_start, bool):
+    if type(p.support_start) is not int:
         problems.append(f"support_start = {p.support_start!r}: must be an integer")
         return problems
     for k, c in enumerate(p.counts):
-        if not isinstance(c, int) or isinstance(c, bool):
+        if type(c) is not int:
             problems.append(f"counts[{k}] = {c!r}: count must be an integer")
         elif c == 0:
             problems.append(f"counts[{k}] = 0: zero count breaks contiguity")

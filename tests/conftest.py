@@ -45,8 +45,7 @@ RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
                  (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
 
 
-@pytest.fixture(scope="session")
-def flag_rp2():
+def flag_rp2_system():
     """Barycentric subdivision of the 6-vertex RP^2, as a graph system: the
     order complex of a face poset is a flag complex."""
     faces = sorted({frozenset(f) for t in RP2_TRIANGLES
@@ -55,6 +54,11 @@ def flag_rp2():
     index = {f: i for i, f in enumerate(faces)}
     edges = [(index[f], index[g]) for f in faces for g in faces if f < g]
     return kk.graph_to_system(len(faces), edges)
+
+
+@pytest.fixture(scope="session")
+def flag_rp2():
+    return flag_rp2_system()
 
 
 def random_pattern(rng, allow_empty=True):

@@ -5,12 +5,13 @@ import networkx as nx
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 import kakimizu as kk
 import kakimizu.homology
 from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
 
-from conftest import (complex_to_nx, connected_graph_systems, flag_complexes,
+from conftest import (complex_to_nx, connected_graph_systems, flag_complexes, flag_rp2_system,
                       random_graph_systems)
 
 
@@ -327,26 +328,37 @@ def test_h1_of_wedge_of_circles():
     assert kk.homology_h1(X) == kk.H1Structure(2)
 
 
+RP2 = build_complex(flag_rp2_system(), max_dim=3)
+
+
 @given(st.one_of(connected_graph_systems().map(lambda s: build_complex(s, max_dim=3)),
                  flag_complexes()))
+@example(RP2)
+@example(FlagComplex(RP2.vertices + tuple(f"h{i}" for i in range(6)),
+                     sorted(RP2.edges) + [(f"h{i}", f"h{(i + 1) % 6}") for i in range(6)]))
 def test_h1_free_rank_matches_clique_complex_b1(X):
-    # oracle: b1 = E - V + components - rank d2, from networkx cliques and a
-    # sympy rank of d2; flag_complexes may be disconnected
+    # oracle: H1 = ker d1 / im d2 with rank d1 = V - components from networkx,
+    # and the free rank and torsion from sympy's Smith normal form of the full
+    # E x T d2 over the networkx cliques; flag_complexes may be disconnected,
+    # and the examples are flag RP^2 (Z/2) and it beside a hexagon (Z + Z/2)
     G = complex_to_nx(X)
     assert kk.contractibility_report(X).connected == nx.is_connected(G)
     edges = sorted(tuple(sorted(e)) for e in G.edges())
     index = {e: i for i, e in enumerate(edges)}
     tris = [tuple(sorted(c)) for c in nx.enumerate_all_cliques(G) if len(c) == 3]
-    rank = 0
+    factors = []
     if tris:
         d2 = sympy.zeros(len(edges), len(tris))
         for j, (a, b, c) in enumerate(tris):
             d2[index[(b, c)], j] = 1
             d2[index[(a, c)], j] = -1
             d2[index[(a, b)], j] = 1
-        rank = d2.rank()
-    b1 = len(edges) - G.number_of_nodes() + nx.number_connected_components(G) - rank
-    assert kk.homology_h1(X).free_rank == b1
+        snf = smith_normal_form(d2, domain=sympy.ZZ)
+        factors = sorted(abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i])
+    rank_d1 = G.number_of_nodes() - nx.number_connected_components(G)
+    expected = kk.H1Structure(len(edges) - rank_d1 - len(factors),
+                              tuple(d for d in factors if d > 1))
+    assert kk.homology_h1(X) == expected
 
 
 def test_h1_of_flag_rp2_is_z2(flag_rp2):
@@ -359,9 +371,9 @@ def test_h1_of_flag_rp2_is_z2(flag_rp2):
     assert "H1 = Z/2 is nontrivial" in rep.reasons
 
 
-def test_lattice_d2_collapses_before_the_dense_snf(monkeypatch):
-    # the triangulated grid is a collapsible disc: unit pivots empty d2
-    # completely, so the dense elimination gets nothing to do; d1 takes no SNF
+def test_lattice_relators_collapse_before_the_dense_snf(monkeypatch):
+    # the triangulated grid is a collapsible disc: unit pivots empty the
+    # relators completely, so the dense elimination gets nothing to do
     dense_rows = []
     real_dense = kakimizu.homology._dense_invariants
 

@@ -221,6 +221,17 @@ def test_validate_negative_count():
     assert any("positive" in msg for msg in problems)
 
 
+def test_validate_refuses_counts_and_starts_that_are_not_exactly_int():
+    class Count(int):
+        pass
+
+    for bad in (True, 1.0, "1", Count(1)):
+        assert validate_pattern(OffsetPattern(0, (1, bad))) == [
+            f"counts[1] = {bad!r}: count must be an integer"]
+        assert validate_pattern(OffsetPattern(bad, (1,))) == [
+            f"support_start = {bad!r}: must be an integer"]
+
+
 def test_empty_pattern_is_canonical():
     assert OffsetPattern(5, ()) == EMPTY_PATTERN
     assert OffsetPattern(5, ()).support_start == 0

@@ -311,7 +311,7 @@ def test_run_suite_computes_each_fact_once(monkeypatch):
     monkeypatch.setattr(FlagComplex, "__init__", counting_init)
     report = run_suite(system, "all")
     assert report.verdict == "pass"
-    assert len(snf_calls) == 1   # d2 once; d1's rank is a spanning forest's size
+    assert len(snf_calls) == 1   # the spanning-forest relators, once
     assert full_builds == [3]
 
 
