@@ -5,11 +5,12 @@ complex at desk scale and returns a :class:`ClaimReport` whose failures carry
 replayable witnesses (vertex pairs, cycles, or homology data).  Only
 ``simple_connectivity`` runs a bounded homotopy search; a search that stops
 gets a third verdict, ``inconclusive``, which is never folded into pass or
-fail.  A budgeted search cannot certify nontriviality; a mod-2 1-cocycle
-that pairs odd with a cycle does, and turns that cycle into a failure before
-any search is spent on it.  Residues need no cycle at all: in a flag
-complex the residue of a simplex is a cone, certified once per simplex from
-the adjacency sets.
+fail.  Only chordless cycles need that search: a chord cuts a cycle into two
+shorter ones, and the cycle contracts when both of them do.  A budgeted
+search cannot certify nontriviality; a mod-2 1-cocycle that pairs odd with a
+cycle does, and turns that cycle into a failure before any search is spent
+on it.  Residues need no cycle at all: in a flag complex the residue of a
+simplex is a cone, certified once per simplex from the adjacency sets.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from .complexes import (ContractibilityReport, FlagComplex, build_complex,
                         contractibility_report, embedded_cycles, homology_h1,
                         mod2_cocycles)
-from .homotopy import (_is_mod2_cocycle, _pairs_odd, _replays_to_point,
-                       reduce_cycle_homotopy)
+from .homotopy import (_chord_halves, _is_mod2_cocycle, _pairs_odd,
+                       _replays_to_point, reduce_cycle_homotopy)
 from .systems import SurfaceSystem, kakimizu_null_homotopy
 
 
@@ -37,7 +38,9 @@ class ReductionBounds:
     refused.  ``max_len`` binds only the breadth-first phase of a search: its
     greedy descent never makes a cycle longer (a cut drops a vertex, a
     substitution keeps or drops the length), which is also why the descent
-    keeps visited states of the current length only."""
+    keeps visited states of the current length only.  A chorded cycle
+    certified by its two halves spends no steps: each half is shorter than
+    the cycle, so it is within the cap and gets its own outcome."""
 
     max_cycle_len: int = 8
     max_len: int = 16
@@ -239,14 +242,23 @@ def _residue_vertices(adj, s) -> set:
 
 def verify_simple_connectivity(system: SurfaceSystem,
                                bounds: ReductionBounds = ReductionBounds()) -> ClaimReport:
-    """H1 must vanish, and every embedded cycle up to the cap must receive a
-    null-homotopy witness that replays move-by-move.
+    """H1 must vanish, and every embedded cycle up to the cap must contract:
+    by a split certificate, or by a null-homotopy witness that replays
+    move-by-move.
+
+    A cycle with a chord {c[i], c[j]} is certified, with no search, when both
+    halves that ``_chord_halves`` cuts it into are certified; chords are
+    tried in order, and a half's outcome is computed when a split first
+    needs it.  Halves are shorter than their cycle, so the outcomes of the
+    cycles below the cap are kept, and each cycle is decided once.  Entries
+    are still reported in enumeration order.  A cycle with no certified
+    split is searched as below.
 
     When H1 is nontrivial the failure lists a basis of H^1(X; Z/2) under
     ``"cocycles"``.  Each basis cocycle that checks (even on every triangle)
-    is paired with every cycle before its search: a cycle it crosses an odd
-    number of times cannot contract, so it fails, naming the cocycle by its
-    index, and is not searched.  A cocycle that does not check is reported
+    is paired with every cycle before its splits and its search: a cycle it
+    crosses an odd number of times cannot contract, so it fails, naming the
+    cocycle by its index, and is neither split nor searched.  A cocycle that does not check is reported
     and dropped.  Cycles that pair evenly with every cocycle (odd torsion,
     or trivial in homology) are reduced by the complexity-descent procedure
     when the system has a double curve sum, by generic bounded search
@@ -269,13 +281,40 @@ def verify_simple_connectivity(system: SurfaceSystem,
                 cocycles[k] = z
             else:
                 report.failures.append({"problem": "cocycle failed to check", "cocycle": k})
-    for cycle in embedded_cycles(X, bounds.max_cycle_len):
-        report.instances += 1
+    adj = X._adjset
+    memo = {}  # canonical cycle shorter than the cap -> its outcome
+
+    def outcome(cycle):
+        """None when ``cycle`` is certified, else (the report list, entry)."""
+        if cycle in memo:
+            return memo[cycle]
+        # pairings add over a split, so a cycle that pairs odd has a half
+        # that pairs odd, and no chord of it can split off two certified halves
         k = next((k for k, z in cocycles.items() if _pairs_odd(z, cycle)), None)
         if k is not None:
-            report.failures.append({"cycle": list(cycle),
-                                    "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
-            continue
+            out = report.failures, {"cycle": list(cycle),
+                                    "problem": "nontrivial in H1(X; Z/2)", "cocycle": k}
+        else:
+            out = None if splits(cycle) else searched(cycle)
+        if len(cycle) < bounds.max_cycle_len:
+            memo[cycle] = out
+        return out
+
+    def splits(cycle):
+        """Whether some chord cuts ``cycle`` into two certified halves."""
+        L = len(cycle)
+        for i in range(L - 2):
+            near = adj[cycle[i]]
+            for j in range(i + 2, L if i else L - 1):
+                if cycle[j] in near:
+                    a, b = _chord_halves(X, cycle, i, j)
+                    if outcome(a) is None and outcome(b) is None:
+                        return True
+        return False
+
+    def searched(cycle):
+        """The outcome of a cycle that pairs evenly and has no certified
+        split: descent or search, then replay."""
         result = None
         if system.supports_dcs:
             result = kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,
@@ -283,9 +322,17 @@ def verify_simple_connectivity(system: SurfaceSystem,
         if result is None or not (result.reduced or system.strict_descent):
             result = reduce_cycle_homotopy(X, cycle, bounds.max_len, bounds.max_steps)
         if not result.reduced:
-            report.inconclusive.append({"cycle": list(cycle), "reason": result.reason})
-        elif not _replays_to_point(X, cycle, result):
-            report.failures.append({"cycle": list(cycle), "problem": "witness failed to replay"})
+            return report.inconclusive, {"cycle": list(cycle), "reason": result.reason}
+        if not _replays_to_point(X, cycle, result):
+            return report.failures, {"cycle": list(cycle), "problem": "witness failed to replay"}
+        return None
+
+    for cycle in embedded_cycles(X, bounds.max_cycle_len):
+        report.instances += 1
+        out = outcome(cycle)
+        if out is not None:
+            entries, entry = out
+            entries.append(entry)
     return _timed(report, started)
 
 

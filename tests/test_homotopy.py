@@ -9,10 +9,10 @@ import kakimizu as kk
 from kakimizu import (FlagComplex, apply_move, build_complex, canonical_cycle,
                       normalize_cycle, reduce_cycle_homotopy, replay, validate_cycle)
 from kakimizu.cli import main
-from kakimizu.homotopy import (HomotopyResult, _apply_unchecked, _greedy_descend,
-                               _replays_to_point)
+from kakimizu.homotopy import (HomotopyResult, _apply_unchecked, _chord_halves,
+                               _greedy_descend, _replays_to_point)
 
-from conftest import connected_graph_systems
+from conftest import connected_graph_systems, flag_complexes
 
 
 def triangle():
@@ -430,3 +430,53 @@ def cycles_with_repeated_least_vertex(draw):
 def test_canonical_cycle_is_the_least_of_all_rotations(c):
     rotations = [d[r:] + d[:r] for d in (c, c[::-1]) for r in range(len(c))]
     assert canonical_cycle(c) == min(rotations)
+
+
+# -- split certificates ------------------------------------------------------
+
+
+def hexagon_with_chord():
+    return FlagComplex(range(6), [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)], max_dim=3)
+
+
+def test_chord_halves_are_canonical_and_closed_by_the_chord():
+    X = hexagon_with_chord()
+    halves = ((0, 1, 2, 3), (0, 3, 4, 5))
+    assert _chord_halves(X, (0, 1, 2, 3, 4, 5), 0, 3) == halves
+    assert _chord_halves(X, (0, 1, 2, 3, 4, 5), 3, 0) == halves
+    # a rotated, reflected start gives the same halves, in the other order
+    assert _chord_halves(X, (2, 1, 0, 5, 4, 3), 2, 5) == halves[::-1]
+
+
+@pytest.mark.parametrize("i, j, message", [
+    (1, 4, "is not an edge"),
+    (2, 5, "is not an edge"),
+    (0, 1, "cyclically adjacent"),
+    (3, 2, "cyclically adjacent"),
+    (0, 5, "cyclically adjacent"),
+    (5, 0, "cyclically adjacent"),
+    (2, 2, "cyclically adjacent"),
+    (0, 6, "out of range"),
+    (-1, 3, "out of range"),
+    (6, 3, "out of range"),
+])
+def test_chord_halves_refuses_a_bad_chord(i, j, message):
+    with pytest.raises(ValueError, match=message):
+        _chord_halves(hexagon_with_chord(), (0, 1, 2, 3, 4, 5), i, j)
+
+
+@given(flag_complexes(), st.integers(3, 6))
+def test_enumerated_cycles_are_canonical_and_hold_their_halves(X, cap):
+    # the sweep keys its outcomes by the enumerated tuple and looks halves up
+    # by _chord_halves, so both must be in one canonical form; each half of
+    # a chord is shorter than its cycle, hence enumerated too
+    cycles = list(kk.embedded_cycles(X, cap))
+    assert all(canonical_cycle(c) == c for c in cycles)
+    enumerated = set(cycles)
+    for c in cycles:
+        L = len(c)
+        for i, j in itertools.combinations(range(L), 2):
+            if 1 < j - i < L - 1 and X.has_edge(c[i], c[j]):
+                a, b = _chord_halves(X, c, i, j)
+                assert a in enumerated and b in enumerated
+                assert len(a) + len(b) == L + 2

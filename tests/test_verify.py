@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import networkx as nx
@@ -16,8 +17,9 @@ from kakimizu import (FlagComplex, ReductionBounds, build_complex,
                       verify_cs_le_i, verify_distance_theorem,
                       verify_link_girth, verify_residues_sc,
                       verify_simple_connectivity, verify_st_bound)
-from kakimizu.homotopy import _replays_to_point
-from kakimizu.verify import _residue_vertices
+from kakimizu.homotopy import (_chord_halves, _is_mod2_cocycle, _pairs_odd,
+                               _replays_to_point)
+from kakimizu.verify import ClaimReport, _residue_vertices
 
 from conftest import (complex_to_nx, connected_graph_systems, flag_complexes,
                       random_graph_systems)
@@ -158,6 +160,90 @@ def test_cycles_are_flagged_exactly_when_nontrivial_mod_2(system):
     even_torsion = sum(1 for t in h1.torsion if t % 2 == 0)
     assert len(mod2_cocycles(X)) == h1.free_rank + even_torsion
     assert not any(f.get("problem") == "cocycle failed to check" for f in report.failures)
+
+
+def reference_simple_connectivity(system, bounds=ReductionBounds()):
+    """The sweep before split certificates: every enumerated cycle is paired
+    with the checked cocycles, then searched, then replayed."""
+    report = ClaimReport("simple_connectivity",
+                         "H1 = 0 and all short cycles contract with replayable witnesses")
+    X = build_complex(system)
+    h1 = kk.homology_h1(X)
+    report.instances += 1
+    cocycles = {}
+    if not h1.is_trivial():
+        basis = mod2_cocycles(X)
+        report.failures.append({"problem": "H1 nontrivial", "h1": str(h1),
+                                "cocycles": [[list(e) for e in z] for z in basis]})
+        for k, z in enumerate(map(frozenset, basis)):
+            if _is_mod2_cocycle(X, z):
+                cocycles[k] = z
+            else:
+                report.failures.append({"problem": "cocycle failed to check", "cocycle": k})
+    for cycle in kk.embedded_cycles(X, bounds.max_cycle_len):
+        report.instances += 1
+        k = next((k for k, z in cocycles.items() if _pairs_odd(z, cycle)), None)
+        if k is not None:
+            report.failures.append({"cycle": list(cycle),
+                                    "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
+            continue
+        result = None
+        if system.supports_dcs:
+            result = kk.kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,
+                                               complex=X)
+        if result is None or not (result.reduced or system.strict_descent):
+            result = kk.reduce_cycle_homotopy(X, cycle, bounds.max_len, bounds.max_steps)
+        if not result.reduced:
+            report.inconclusive.append({"cycle": list(cycle), "reason": result.reason})
+        elif not _replays_to_point(X, cycle, result):
+            report.failures.append({"cycle": list(cycle), "problem": "witness failed to replay"})
+    return report
+
+
+def _chords(X, c):
+    L = len(c)
+    return [(i, j) for i, j in itertools.combinations(range(L), 2)
+            if 1 < j - i < L - 1 and X.has_edge(c[i], c[j])]
+
+
+@given(connected_graph_systems(), st.integers(4, 6), st.integers(1, 4))
+def test_split_certificates_only_turn_inconclusive_cycles_into_passes(system, cap, steps):
+    # budgets small enough that searches stop
+    bounds = ReductionBounds(max_cycle_len=cap, max_len=cap + 2, max_steps=steps)
+    X = build_complex(system)
+    ref = reference_simple_connectivity(system, bounds)
+    new = verify_simple_connectivity(system, bounds)
+    assert new.instances == ref.instances
+    assert new.failures == ref.failures
+    entries = iter(ref.inconclusive)
+    assert all(e in entries for e in new.inconclusive)
+    # a cycle passes exactly when the reference passes it or a chord cuts it
+    # into two halves that pass; halves that pass may do so by a split
+    # themselves, so "pass" on the right is the new sweep's
+    unresolved = {tuple(e["cycle"]) for e in new.failures + new.inconclusive if "cycle" in e}
+    ref_unresolved = {tuple(e["cycle"]) for e in ref.failures + ref.inconclusive if "cycle" in e}
+    for c in kk.embedded_cycles(X, cap):
+        split = any(a not in unresolved and b not in unresolved
+                    for a, b in (_chord_halves(X, c, i, j) for i, j in _chords(X, c)))
+        assert (c not in unresolved) == (c not in ref_unresolved or split), c
+
+
+def test_the_sweep_searches_each_chordless_cycle_once(monkeypatch):
+    system = kk.load_system(kk.save_system(kk.lattice_model(5, 5)))  # no descent backend
+    X = build_complex(system)
+    searched = []
+    real = kakimizu.verify.reduce_cycle_homotopy
+
+    def counting(X, cycle, *args):
+        searched.append(tuple(cycle))
+        return real(X, cycle, *args)
+
+    monkeypatch.setattr(kakimizu.verify, "reduce_cycle_homotopy", counting)
+    assert verify_simple_connectivity(system).verdict == "pass"
+    chordless = list(kk.embedded_cycles(X, 3))
+    chordless += [c for n in range(4, 9) for c in kk.induced_cycles(X, n)]
+    assert len(searched) == len(set(searched))
+    assert sorted(searched) == sorted(chordless)
 
 
 def test_flag_rp2_has_one_cocycle_and_keeps_searching(flag_rp2):
