@@ -3,14 +3,16 @@
 ``complexes.homology_h1`` presents H1 by the spanning forest: the non-forest
 edges generate and each triangle gives a relator, so only the relators go
 through ``smith_invariants`` (450 sparse rows on 450 generators for a 16 x 16
-lattice).  Almost every pivot they need is a unit, so ``smith_invariants``
-eliminates the +-1 pivots on the sparse rows first and leaves only what
-remains to the dense elimination.  A unit pivot clears its column by adding
-integer multiples of its row to other rows, then its own row by column
-operations, so each step is unimodular and exact over Z and splits off one
-invariant factor 1.  A relator with one entry is a free edge, so a
-collapsible disc empties completely.  The arithmetic stays in exact Python
-integers: no coefficient growth surprises, no float rank estimates.
+lattice).  ``smith_invariants`` is one elimination on those sparse rows, the
+textbook Smith reduction by division with remainder (Kaczynski-Mischaikow-
+Mrozek, *Computational Homology*, 2004, ch. 3).  Each step adds an integer
+multiple of a row to another row, or of a column to another column, so it
+is unimodular and exact over Z.  Almost every pivot of a relator matrix is a
+unit, which leaves no remainder and splits off one invariant factor 1; a
+relator with one entry is a free edge, so a collapsible disc empties on unit
+pivots alone.  Remainder steps come only with non-unit pivots, which is
+where torsion comes from.  The arithmetic stays in exact Python integers: no
+coefficient growth surprises, no float rank estimates.
 """
 from __future__ import annotations
 
@@ -22,34 +24,44 @@ from dataclasses import dataclass
 def smith_invariants(rows) -> list[int]:
     """Nonzero invariant factors of an integer matrix, as a divisibility chain.
 
-    ``rows`` is a sequence of sparse rows, each a mapping {column: nonzero
-    int}; they are copied, not modified.  Unit pivots are eliminated first,
-    the row with the fewest nonzeros first (to limit fill), each adding one
-    factor 1; the rows left without a +-1 entry go to ``_dense_invariants``.
+    ``rows`` is a sequence of sparse rows, each a mapping {column: int}; they
+    are copied, not modified, and zero entries are dropped.  A heap keyed by
+    (least |entry|, nonzeros, row index), pushed again whenever a row changes,
+    yields a row holding the least entry p of the matrix, at column c; on a
+    collapsible disc every p is a unit, taken shortest row first to limit
+    fill.  Row operations by other[c] // p clear column c in the other rows up
+    to remainders, and a row with one left waits for it.  Otherwise column c
+    is this row's alone, so column operations, which change no other row,
+    replace each other entry a by a - a // p * p.  With no remainder left, |p|
+    is a factor and the row is dropped; else the row goes back on the heap.
+    A step that records no factor leaves a remainder below |p|, so the least
+    |entry| strictly falls between two recorded factors and the loop ends.
     """
-    sparse = {i: dict(r) for i, r in enumerate(rows) if r}
+    sparse = {}  # row index -> {column: nonzero entry}
+    for i, r in enumerate(rows):
+        row = {j: a for j, a in r.items() if a}
+        if row:
+            sparse[i] = row
     cols = {}  # column -> indices of the rows with a nonzero there
     for i, row in sparse.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in sparse.items()]
+
+    def key(row):
+        return min(map(abs, row.values())), len(row)
+
+    heap = [(*key(row), i) for i, row in sparse.items()]
     heapq.heapify(heap)
-    units = 0
+    factors = []
     while heap:
-        size, i = heapq.heappop(heap)
+        least, size, i = heapq.heappop(heap)
         row = sparse.get(i)
-        if row is None or len(row) != size:
-            continue  # stale entry: the row was eliminated or has changed
-        c = next((j for j, a in row.items() if a in (1, -1)), None)
-        if c is None:
-            continue  # a later elimination that changes the row re-queues it
-        del sparse[i]
-        for j in row:
-            cols[j].discard(i)
-        p = row[c]
-        for k in cols.pop(c):
+        if row is None or key(row) != (least, size):
+            continue  # stale entry: the row was dropped or has changed
+        c, p = next((j, a) for j, a in row.items() if abs(a) == least)
+        for k in cols[c] - {i}:
             other = sparse[k]
-            q = other[c] * p  # other[c] / p, as p = +-1
+            q = other[c] // p
             for j, a in row.items():
                 v = other.get(j, 0) - q * a
                 if v:
@@ -58,92 +70,39 @@ def smith_invariants(rows) -> list[int]:
                     other[j] = v
                 else:
                     del other[j]
-                    if j != c:
-                        cols[j].discard(k)
+                    cols[j].discard(k)
             if other:
-                heapq.heappush(heap, (len(other), k))
+                heapq.heappush(heap, (*key(other), k))
             else:
                 del sparse[k]
-        units += 1
-    live = sorted(j for j, users in cols.items() if users)
-    rest = [[row.get(j, 0) for j in live] for row in sparse.values()]
-    return [1] * units + _dense_invariants(rest)
-
-
-def _dense_invariants(A: list[list[int]]) -> list[int]:
-    """Invariant factors of a dense integer matrix, which is modified in place.
-
-    Classic pivot-and-reduce elimination: move a least-magnitude entry to the
-    pivot, clear its row and column by division with remainder (remainders
-    become smaller pivots), then normalize the diagonal multiset with
-    gcd/lcm exchanges, which realizes diag(a, b) = diag(gcd, lcm).
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    diag = []
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        A[t], A[pi] = A[pi], A[t]
-        for row in A:
-            row[t], row[pj] = row[pj], row[t]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-        clean = False
-        while not clean:
-            clean = True
-            p = A[t][t]
-            for i in range(t + 1, m):
-                q = A[i][t] // p
-                if q:
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                if A[i][t] != 0:
-                    # remainder is a strictly smaller pivot
-                    A[t], A[i] = A[i], A[t]
-                    if A[t][t] < 0:
-                        A[t] = [-x for x in A[t]]
-                    clean = False
-                    break
-            if not clean:
-                continue
-            for j in range(t + 1, n):
-                q = A[t][j] // p
-                if q:
-                    for row in A:
-                        row[j] -= q * row[t]
-                if A[t][j] != 0:
-                    for row in A:
-                        row[t], row[j] = row[j], row[t]
-                    if A[t][t] < 0:
-                        A[t] = [-x for x in A[t]]
-                    clean = False
-                    break
-        diag.append(A[t][t])
-        t += 1
-        if t >= m or t >= n:
-            break
-    # gcd/lcm passes impose the divisibility chain
+        if len(cols[c]) > 1:  # a remainder is left in column c
+            heapq.heappush(heap, (least, size, i))
+            continue
+        rest = {j: r for j, a in row.items() if (r := a % p)}
+        for j in row:
+            if j not in rest:
+                cols[j].discard(i)
+        if rest:
+            sparse[i] = rest | {c: p}
+            cols[c].add(i)
+            heapq.heappush(heap, (*key(sparse[i]), i))
+        else:
+            del sparse[i]
+            factors.append(least)
+    # gcd/lcm exchanges, diag(a, b) ~ diag(gcd, lcm), make the factors above 1
+    # a divisibility chain; the ones, often thousands, go in front unexchanged
+    chain = [d for d in factors if d > 1]
     changed = True
     while changed:
         changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                a, b = diag[i], diag[j]
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                a, b = chain[i], chain[j]
                 if b % a != 0:
                     g = math.gcd(a, b)
-                    diag[i], diag[j] = g, a // g * b
+                    chain[i], chain[j] = g, a // g * b
                     changed = True
-    return diag
+    return [1] * factors.count(1) + chain
 
 
 @dataclass(frozen=True)
