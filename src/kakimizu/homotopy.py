@@ -15,9 +15,7 @@ Reduction searches this move graph.  The search builds only moves that are
 legal by construction (a corner it found retraced, a diagonal or detour it
 found in the adjacency sets) and applies them by slicing, without
 re-validating them; ``replay`` is the one validator, and every success
-certificate must pass it move-by-move.  A chorded cycle needs no search:
-``_chord_halves`` checks the chord and cuts the cycle into the two halves
-whose contractions contract it.  ``replay`` and ``apply_move`` step
+certificate must pass it move-by-move.  ``replay`` and ``apply_move`` step
 one list through the same checker, ``_step``.  The greedy descent never
 makes a cycle longer, so a state can recur only at its own length, and its
 visited set holds the states of the current length only.  An inconclusive
@@ -26,7 +24,8 @@ cycle is not null-homotopic, is a mod-2 1-cocycle pairing odd with it; it is
 checked directly against the triangles of the complex, by
 ``_is_mod2_cocycle`` and ``_pairs_odd``.  Residues need no witness from
 here: a residue of a flag complex is a cone, certified in ``verify`` from
-the adjacency sets alone.
+the adjacency sets alone, and neither does a chorded cycle: ``verify``
+searches only chordless cycles and leaves the rest to the chord lemma.
 """
 from __future__ import annotations
 
@@ -121,25 +120,6 @@ def _replays_to_point(X, start, result) -> bool:
         return replay(X, start, result.moves) == result.final and len(result.final) <= 1
     except ValueError:
         return False
-
-
-def _chord_halves(X, cycle, i, j) -> tuple:
-    """The two cycles that the chord {c[i], c[j]} cuts ``cycle`` into, each
-    closed by the chord, in canonical form.  Based at c[i], the cycle is
-    homotopic to the first half followed by the second (out along the chord
-    and back is a backtrack), so if both halves contract, so does the cycle.
-    Raises ``ValueError`` unless i and j are indices of the cycle, not
-    cyclically adjacent, and {c[i], c[j]} is an edge of X."""
-    c = tuple(cycle)
-    L = len(c)
-    if not (0 <= i < L and 0 <= j < L):
-        raise ValueError(f"chord ({i}, {j}) out of range for length {L}")
-    i, j = min(i, j), max(i, j)
-    if j - i < 2 or j - i == L - 1:
-        raise ValueError(f"chord ({i}, {j}) joins equal or cyclically adjacent indices")
-    if c[j] not in X._adjset.get(c[i], ()):
-        raise ValueError(f"({c[i]!r}, {c[j]!r}) is not an edge")
-    return canonical_cycle(c[i:j + 1]), canonical_cycle(c[j:] + c[:i + 1])
 
 
 def _is_mod2_cocycle(X, cocycle) -> bool:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from .complexes import (ContractibilityReport, FlagComplex, build_complex,
                         contractibility_report, embedded_cycles, homology_h1,
                         mod2_cocycles)
-from .homotopy import (_chord_halves, _is_mod2_cocycle, _pairs_odd,
-                       _replays_to_point, reduce_cycle_homotopy)
+from .homotopy import (_is_mod2_cocycle, _pairs_odd, _replays_to_point,
+                       reduce_cycle_homotopy)
 from .systems import SurfaceSystem, kakimizu_null_homotopy
 
 
@@ -38,9 +38,8 @@ class ReductionBounds:
     refused.  ``max_len`` binds only the breadth-first phase of a search: its
     greedy descent never makes a cycle longer (a cut drops a vertex, a
     substitution keeps or drops the length), which is also why the descent
-    keeps visited states of the current length only.  A chorded cycle
-    certified by its two halves spends no steps: each half is shorter than
-    the cycle, so it is within the cap and gets its own outcome."""
+    keeps visited states of the current length only.  Only chordless cycles
+    spend steps."""
 
     max_cycle_len: int = 8
     max_len: int = 16
@@ -242,29 +241,28 @@ def _residue_vertices(adj, s) -> set:
 
 def verify_simple_connectivity(system: SurfaceSystem,
                                bounds: ReductionBounds = ReductionBounds()) -> ClaimReport:
-    """H1 must vanish, and every embedded cycle up to the cap must contract:
-    by a split certificate, or by a null-homotopy witness that replays
-    move-by-move.
+    """H1 must vanish, and every embedded cycle up to the cap must contract.
 
-    A cycle with a chord {c[i], c[j]} is certified, with no search, when both
-    halves that ``_chord_halves`` cuts it into are certified; chords are
-    tried in order, and a half's outcome is computed when a split first
-    needs it.  Halves are shorter than their cycle, so the outcomes of the
-    cycles below the cap are kept, and each cycle is decided once.  Entries
-    are still reported in enumeration order.  A cycle with no certified
-    split is searched as below.
+    A chord cuts a cycle into two shorter cycles, and the cycle contracts
+    when both do, so by induction on length every cycle up to the cap
+    contracts once every chordless cycle up to the cap does.  Only the
+    chordless cycles, triangles included, are searched, and each needs a
+    null-homotopy witness that replays move-by-move.  A chorded cycle is
+    counted as an instance and left to the lemma, so it is never an
+    inconclusive entry.
 
     When H1 is nontrivial the failure lists a basis of H^1(X; Z/2) under
     ``"cocycles"``.  Each basis cocycle that checks (even on every triangle)
-    is paired with every cycle before its splits and its search: a cycle it
-    crosses an odd number of times cannot contract, so it fails, naming the
-    cocycle by its index, and is neither split nor searched.  A cocycle that does not check is reported
-    and dropped.  Cycles that pair evenly with every cocycle (odd torsion,
-    or trivial in homology) are reduced by the complexity-descent procedure
-    when the system has a double curve sum, by generic bounded search
-    otherwise.  Without ``strict_descent`` the descent may stop with no
-    applicable move on a cycle that does contract, so a cycle it leaves
-    unreduced is searched too before it counts as inconclusive."""
+    is paired with every cycle, chorded or not, before any search: a cycle
+    it crosses an odd number of times cannot contract, so it fails, naming
+    the cocycle by its index, and is not searched.  A cocycle that does not
+    check is reported and dropped.  Chordless cycles that pair evenly with
+    every cocycle (odd torsion, or trivial in homology) are reduced by the
+    complexity-descent procedure when the system has a double curve sum, by
+    generic bounded search otherwise.  Without ``strict_descent`` the
+    descent may stop with no applicable move on a cycle that does contract,
+    so a cycle it leaves unreduced is searched too before it counts as
+    inconclusive."""
     started = time.perf_counter()
     report = ClaimReport("simple_connectivity",
                          "H1 = 0 and all short cycles contract with replayable witnesses")
@@ -282,39 +280,17 @@ def verify_simple_connectivity(system: SurfaceSystem,
             else:
                 report.failures.append({"problem": "cocycle failed to check", "cocycle": k})
     adj = X._adjset
-    memo = {}  # canonical cycle shorter than the cap -> its outcome
-
-    def outcome(cycle):
-        """None when ``cycle`` is certified, else (the report list, entry)."""
-        if cycle in memo:
-            return memo[cycle]
-        # pairings add over a split, so a cycle that pairs odd has a half
-        # that pairs odd, and no chord of it can split off two certified halves
+    for cycle in embedded_cycles(X, bounds.max_cycle_len):
+        report.instances += 1
         k = next((k for k, z in cocycles.items() if _pairs_odd(z, cycle)), None)
         if k is not None:
-            out = report.failures, {"cycle": list(cycle),
-                                    "problem": "nontrivial in H1(X; Z/2)", "cocycle": k}
-        else:
-            out = None if splits(cycle) else searched(cycle)
-        if len(cycle) < bounds.max_cycle_len:
-            memo[cycle] = out
-        return out
-
-    def splits(cycle):
-        """Whether some chord cuts ``cycle`` into two certified halves."""
+            report.failures.append({"cycle": list(cycle),
+                                    "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
+            continue
         L = len(cycle)
-        for i in range(L - 2):
-            near = adj[cycle[i]]
-            for j in range(i + 2, L if i else L - 1):
-                if cycle[j] in near:
-                    a, b = _chord_halves(X, cycle, i, j)
-                    if outcome(a) is None and outcome(b) is None:
-                        return True
-        return False
-
-    def searched(cycle):
-        """The outcome of a cycle that pairs evenly and has no certified
-        split: descent or search, then replay."""
+        if any(cycle[j] in adj[cycle[i]]
+               for i in range(L - 2) for j in range(i + 2, L if i else L - 1)):
+            continue  # chorded: the chordless cycles below the cap decide it
         result = None
         if system.supports_dcs:
             result = kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,
@@ -322,17 +298,9 @@ def verify_simple_connectivity(system: SurfaceSystem,
         if result is None or not (result.reduced or system.strict_descent):
             result = reduce_cycle_homotopy(X, cycle, bounds.max_len, bounds.max_steps)
         if not result.reduced:
-            return report.inconclusive, {"cycle": list(cycle), "reason": result.reason}
-        if not _replays_to_point(X, cycle, result):
-            return report.failures, {"cycle": list(cycle), "problem": "witness failed to replay"}
-        return None
-
-    for cycle in embedded_cycles(X, bounds.max_cycle_len):
-        report.instances += 1
-        out = outcome(cycle)
-        if out is not None:
-            entries, entry = out
-            entries.append(entry)
+            report.inconclusive.append({"cycle": list(cycle), "reason": result.reason})
+        elif not _replays_to_point(X, cycle, result):
+            report.failures.append({"cycle": list(cycle), "problem": "witness failed to replay"})
     return _timed(report, started)
 
 

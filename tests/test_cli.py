@@ -204,15 +204,16 @@ def test_passing_verify_output_is_pinned(capsys, tmp_path, gen, file_sha, out_sh
 
 def test_residue_claim_ignores_the_search_budget(capsys, lattice_file):
     # each residue is certified as a cone with no search, so a one-step
-    # budget leaves only the whole-complex cycles inconclusive; of those, a
-    # chorded cycle whose two halves are certified passes with no search, so
-    # 210 of the 1274 stay inconclusive (1242 when every cycle was searched)
+    # budget leaves only the whole-complex cycles inconclusive; of those, only
+    # the chordless cycles are searched (a chorded one is left to the chord
+    # lemma), so 25 of the 1274 stay inconclusive (1242 when every cycle was
+    # searched)
     code, out, _ = run_cli(capsys, "verify", lattice_file, "--suite", "sc",
                            "--max-steps", "1")
     assert code == 3
     rows = [line.split() for line in out.splitlines()]
     assert ["residues_simply_connected", "113", "0", "0", "pass"] in rows
-    assert ["simple_connectivity", "1275", "0", "210", "inconclusive"] in rows
+    assert ["simple_connectivity", "1275", "0", "25", "inconclusive"] in rows
 
 
 def test_residue_claim_on_a_path_has_one_instance_per_simplex(capsys, line_file):

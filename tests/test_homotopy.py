@@ -9,8 +9,8 @@ import kakimizu as kk
 from kakimizu import (FlagComplex, apply_move, build_complex, canonical_cycle,
                       normalize_cycle, reduce_cycle_homotopy, replay, validate_cycle)
 from kakimizu.cli import main
-from kakimizu.homotopy import (HomotopyResult, _apply_unchecked, _chord_halves,
-                               _greedy_descend, _replays_to_point)
+from kakimizu.homotopy import (HomotopyResult, _apply_unchecked, _greedy_descend,
+                               _replays_to_point)
 
 from conftest import connected_graph_systems, flag_complexes
 
@@ -432,7 +432,27 @@ def test_canonical_cycle_is_the_least_of_all_rotations(c):
     assert canonical_cycle(c) == min(rotations)
 
 
-# -- split certificates ------------------------------------------------------
+# -- the chord lemma -----------------------------------------------------------
+
+
+def _chord_halves(X, cycle, i, j) -> tuple:
+    """Oracle for the chord lemma that lets the sweep search only chordless
+    cycles: the two cycles that the chord {c[i], c[j]} cuts ``cycle`` into,
+    each closed by the chord, in canonical form.  Based at c[i], the cycle is
+    homotopic to the first half followed by the second (out along the chord
+    and back is a backtrack), so if both halves contract, so does the cycle.
+    Raises ``ValueError`` unless i and j are indices of the cycle, not
+    cyclically adjacent, and {c[i], c[j]} is an edge of X."""
+    c = tuple(cycle)
+    L = len(c)
+    if not (0 <= i < L and 0 <= j < L):
+        raise ValueError(f"chord ({i}, {j}) out of range for length {L}")
+    i, j = min(i, j), max(i, j)
+    if j - i < 2 or j - i == L - 1:
+        raise ValueError(f"chord ({i}, {j}) joins equal or cyclically adjacent indices")
+    if c[j] not in X._adjset.get(c[i], ()):
+        raise ValueError(f"({c[i]!r}, {c[j]!r}) is not an edge")
+    return canonical_cycle(c[i:j + 1]), canonical_cycle(c[j:] + c[:i + 1])
 
 
 def hexagon_with_chord():
@@ -467,9 +487,9 @@ def test_chord_halves_refuses_a_bad_chord(i, j, message):
 
 @given(flag_complexes(), st.integers(3, 6))
 def test_enumerated_cycles_are_canonical_and_hold_their_halves(X, cap):
-    # the sweep keys its outcomes by the enumerated tuple and looks halves up
-    # by _chord_halves, so both must be in one canonical form; each half of
-    # a chord is shorter than its cycle, hence enumerated too
+    # the induction behind the chord lemma: each half of a chord is shorter
+    # than its cycle, hence enumerated under the same cap, in the same
+    # canonical form as the enumerated cycles
     cycles = list(kk.embedded_cycles(X, cap))
     assert all(canonical_cycle(c) == c for c in cycles)
     enumerated = set(cycles)

@@ -17,8 +17,7 @@ from kakimizu import (FlagComplex, ReductionBounds, build_complex,
                       verify_cs_le_i, verify_distance_theorem,
                       verify_link_girth, verify_residues_sc,
                       verify_simple_connectivity, verify_st_bound)
-from kakimizu.homotopy import (_chord_halves, _is_mod2_cocycle, _pairs_odd,
-                               _replays_to_point)
+from kakimizu.homotopy import _is_mod2_cocycle, _pairs_odd, _replays_to_point
 from kakimizu.verify import ClaimReport, _residue_vertices
 
 from conftest import (complex_to_nx, connected_graph_systems, flag_complexes,
@@ -163,8 +162,8 @@ def test_cycles_are_flagged_exactly_when_nontrivial_mod_2(system):
 
 
 def reference_simple_connectivity(system, bounds=ReductionBounds()):
-    """The sweep before split certificates: every enumerated cycle is paired
-    with the checked cocycles, then searched, then replayed."""
+    """The sweep without the chord lemma: every enumerated cycle, chorded or
+    not, is paired with the checked cocycles, then searched, then replayed."""
     report = ClaimReport("simple_connectivity",
                          "H1 = 0 and all short cycles contract with replayable witnesses")
     X = build_complex(system)
@@ -207,7 +206,7 @@ def _chords(X, c):
 
 
 @given(connected_graph_systems(), st.integers(4, 6), st.integers(1, 4))
-def test_split_certificates_only_turn_inconclusive_cycles_into_passes(system, cap, steps):
+def test_the_chord_lemma_only_drops_chorded_inconclusive_entries(system, cap, steps):
     # budgets small enough that searches stop
     bounds = ReductionBounds(max_cycle_len=cap, max_len=cap + 2, max_steps=steps)
     X = build_complex(system)
@@ -215,17 +214,9 @@ def test_split_certificates_only_turn_inconclusive_cycles_into_passes(system, ca
     new = verify_simple_connectivity(system, bounds)
     assert new.instances == ref.instances
     assert new.failures == ref.failures
-    entries = iter(ref.inconclusive)
-    assert all(e in entries for e in new.inconclusive)
-    # a cycle passes exactly when the reference passes it or a chord cuts it
-    # into two halves that pass; halves that pass may do so by a split
-    # themselves, so "pass" on the right is the new sweep's
-    unresolved = {tuple(e["cycle"]) for e in new.failures + new.inconclusive if "cycle" in e}
-    ref_unresolved = {tuple(e["cycle"]) for e in ref.failures + ref.inconclusive if "cycle" in e}
-    for c in kk.embedded_cycles(X, cap):
-        split = any(a not in unresolved and b not in unresolved
-                    for a, b in (_chord_halves(X, c, i, j) for i, j in _chords(X, c)))
-        assert (c not in unresolved) == (c not in ref_unresolved or split), c
+    # a chordless cycle is searched as before; a chorded one is left to the
+    # lemma, so it is never an inconclusive entry
+    assert new.inconclusive == [e for e in ref.inconclusive if not _chords(X, e["cycle"])]
 
 
 def test_the_sweep_searches_each_chordless_cycle_once(monkeypatch):
