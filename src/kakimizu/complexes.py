@@ -132,18 +132,9 @@ class FlagComplex:
     def distances_from(self, source) -> dict:
         """BFS levels from ``source`` over vertices and edges only."""
         self.require_vertex(source)
-        if source in self._distances:
-            return self._distances[source]
-        dist = self._distances[source] = {source: 0}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            d = dist[x] + 1
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = d
-                    queue.append(y)
-        return dist
+        if source not in self._distances:
+            self._distances[source] = _levels(self._adj, source)
+        return self._distances[source]
 
     def distance(self, u, v) -> int | None:
         """Minimal number of edges in a path from u to v; None if unreachable."""
@@ -193,6 +184,20 @@ class FlagComplex:
         return self.induced(set(s) | set(self.common_neighbors(*s)))
 
 
+def _levels(adj, source) -> dict:
+    """BFS levels from ``source`` in the graph ``adj`` (vertex -> neighbours)."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        d = dist[x] + 1
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = d
+                queue.append(y)
+    return dist
+
+
 def build_complex(system, max_dim: int = 3) -> FlagComplex:
     """Disjointness complex of a surface system, built once per ``max_dim``:
     edges join pairs whose intersection pattern is empty, i.e. the id pairs
@@ -208,34 +213,80 @@ def build_complex(system, max_dim: int = 3) -> FlagComplex:
 # -- cycle enumeration ----------------------------------------------------
 
 
+def _above(X: FlagComplex, s, depth: int) -> dict:
+    """The ball of radius ``depth`` around ``s`` in the subgraph on ``s`` and
+    the vertices above it: each ball vertex other than ``s`` maps to its ball
+    neighbours other than ``s``, in sorted order."""
+    adj = X._adj
+    ball = set()
+    frontier = [s]
+    for _ in range(depth):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y > s and y not in ball:
+                    ball.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return {v: [w for w in adj[v] if w in ball] for v in ball}
+
+
 def embedded_cycles(X: FlagComplex, max_len: int, min_len: int = 3):
     """Yield every embedded cycle of length ``min_len .. max_len`` exactly once.
 
-    Canonical form: the least vertex first, second vertex less than last
-    (killing rotation and reflection).  Distance-to-start pruning keeps the
-    DFS tight on larger windows.
+    Canonical form: the least vertex ``s`` first, second vertex less than
+    last (killing rotation and reflection).  Such a cycle uses only vertices
+    above ``s``, and a vertex ``d`` edges from ``s`` in that subgraph lies
+    only on cycles of length at least ``2d``, so each start's search reads
+    only its ball of radius ``max_len // 2`` there (``_above``).
+
+    Each second vertex ``p1`` walks one orientation: the cycle must close
+    at a neighbour of ``s`` above ``p1``.  A BFS inside the ball, avoiding
+    ``s`` and ``p1``, gives each vertex its distance to that closing edge
+    (1 at the closing neighbours themselves).  A path is extended by ``w``
+    only if the edges it has plus that distance fit in ``max_len``, and it
+    closes when the distance is 1.  The distance is a lower bound on every
+    way the path can still close, so a pruned subtree would have yielded
+    nothing.  The ``p1`` are taken in descending order, and each subtree is
+    walked depth first with its children popped in descending order, so
+    the cycles come out as from one depth-first search of all paths from
+    ``s`` with the mirror orientation dropped at closing.
     """
     if min_len < 3:
         raise ValueError("embedded cycles have at least 3 edges")
     for s in X.vertices:
-        dist = X.distances_from(s)
-        stack = [(s,)]
-        while stack:
-            path = stack.pop()
-            last = path[-1]
-            for w in X.neighbors(last):
-                if w <= s or w in path:
-                    continue
-                # closing from w costs dist(w, s) more edges
-                d = dist.get(w)
-                if d is None or len(path) + d > max_len:
-                    continue
-                new = path + (w,)
-                n = len(new)
-                if n >= min_len and X.has_edge(w, s) and new[1] < w:
-                    yield new
-                if n < max_len:
-                    stack.append(new)
+        ball = _above(X, s, max_len // 2)
+        firsts = [p for p in X._adj[s] if p in ball]
+        for i in range(len(firsts) - 2, -1, -1):
+            p1 = firsts[i]
+            # distance to a closing neighbour; p1 is on every path, so it
+            # gets a distance no path has room for and the BFS stops there
+            dist = {p1: max_len}
+            frontier = firsts[i + 1:]
+            for q in frontier:
+                dist[q] = 1
+            for level in range(2, max_len - 1):
+                nxt = []
+                for x in frontier:
+                    for y in ball[x]:
+                        if y not in dist:
+                            dist[y] = level
+                            nxt.append(y)
+                frontier = nxt
+            stack = [(s, p1)]
+            while stack:
+                path = stack.pop()
+                n = len(path)
+                room = max_len - n
+                for w in ball[path[-1]]:
+                    d = dist.get(w)
+                    if d is None or d > room or w in path:
+                        continue
+                    new = path + (w,)
+                    if d == 1 and n >= min_len - 1:
+                        yield new
+                    if n + 1 < max_len:
+                        stack.append(new)
 
 
 def induced_cycles(X: FlagComplex, length: int):
@@ -319,7 +370,9 @@ def _spanning_forest(X: FlagComplex) -> frozenset:
         for root in X.vertices:
             if root in seen:
                 continue
-            dist = X.distances_from(root)
+            # one BFS per component, kept out of the distance cache: the
+            # simple-connectivity claim reads no other distance
+            dist = _levels(X._adj, root)
             seen.update(dist)
             for v, d in dist.items():
                 if d:

@@ -257,19 +257,38 @@ def load_system(text: str) -> SurfaceSystem:
     return SurfaceSystem._from_checked(vertices, patterns)
 
 
+def _json_list(items: list, pad: str) -> str:
+    """Already encoded ``items`` as a JSON list in the ``indent=2`` layout,
+    closing at indent ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
 def save_system(system: SurfaceSystem) -> str:
-    """Serialize in canonical form: sorted vertices, sorted nonempty patterns."""
-    obj = {
-        "vertices": [
-            {"id": vid, "complexity": [cx.primary, cx.secondary]}
-            for vid, cx in system.vertex_items()
-        ],
-        "patterns": [
-            {"u": u, "v": v, "support_start": pat.support_start, "counts": list(pat.counts)}
-            for (u, v), pat in sorted(system.stored_patterns().items())
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """Serialize in canonical form: sorted vertices, sorted nonempty patterns.
+
+    The text is exactly ``json.dumps(obj, indent=2) + "\\n"`` of the object
+    ``{"vertices": [{"id", "complexity"}], "patterns": [{"u", "v",
+    "support_start", "counts"}]}``, written directly: with an indent, ``json``
+    falls back to its pure-Python encoder.  Strings go through
+    ``json.dumps`` and integers through ``int.__repr__``, as ``json`` writes
+    them."""
+    dump, num = json.dumps, int.__repr__
+    vertices = [
+        '{\n      "id": ' + dump(vid) + ',\n      "complexity": '
+        + _json_list([num(cx.primary), num(cx.secondary)], "      ") + "\n    }"
+        for vid, cx in system.vertex_items()
+    ]
+    patterns = [
+        '{\n      "u": ' + dump(u) + ',\n      "v": ' + dump(v)
+        + ',\n      "support_start": ' + num(pat.support_start)
+        + ',\n      "counts": ' + _json_list(list(map(num, pat.counts)), "      ") + "\n    }"
+        for (u, v), pat in sorted(system.stored_patterns().items())
+    ]
+    return ('{\n  "vertices": ' + _json_list(vertices, "  ")
+            + ',\n  "patterns": ' + _json_list(patterns, "  ") + "\n}\n")
 
 
 # -- model backends ----------------------------------------------------------

@@ -282,14 +282,14 @@ def verify_simple_connectivity(system: SurfaceSystem,
     adj = X._adjset
     for cycle in embedded_cycles(X, bounds.max_cycle_len):
         report.instances += 1
-        k = next((k for k, z in cocycles.items() if _pairs_odd(z, cycle)), None)
-        if k is not None:
-            report.failures.append({"cycle": list(cycle),
-                                    "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
-            continue
-        L = len(cycle)
-        if any(cycle[j] in adj[cycle[i]]
-               for i in range(L - 2) for j in range(i + 2, L if i else L - 1)):
+        if cocycles:
+            k = next((k for k, z in cocycles.items() if _pairs_odd(z, cycle)), None)
+            if k is not None:
+                report.failures.append({"cycle": list(cycle),
+                                        "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
+                continue
+        on = set(cycle)
+        if any(len(adj[v] & on) > 2 for v in cycle):
             continue  # chorded: the chordless cycles below the cap decide it
         result = None
         if system.supports_dcs:

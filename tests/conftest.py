@@ -116,6 +116,33 @@ def flag_complexes(draw):
     return kk.FlagComplex(range(n), [e for e, k in zip(pairs, keep) if k], max_dim=3)
 
 
+def reference_embedded_cycles(X, max_len, min_len=3):
+    """The depth-first enumerator that ``embedded_cycles`` replaced, kept as
+    its order oracle: every path from the least vertex, pruned by graph
+    distance to it, with the mirror orientation dropped only at closing."""
+    if min_len < 3:
+        raise ValueError("embedded cycles have at least 3 edges")
+    for s in X.vertices:
+        dist = X.distances_from(s)
+        stack = [(s,)]
+        while stack:
+            path = stack.pop()
+            last = path[-1]
+            for w in X.neighbors(last):
+                if w <= s or w in path:
+                    continue
+                # closing from w costs dist(w, s) more edges
+                d = dist.get(w)
+                if d is None or len(path) + d > max_len:
+                    continue
+                new = path + (w,)
+                n = len(new)
+                if n >= min_len and X.has_edge(w, s) and new[1] < w:
+                    yield new
+                if n < max_len:
+                    stack.append(new)
+
+
 def complex_to_nx(X):
     import networkx as nx
 

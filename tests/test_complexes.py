@@ -12,7 +12,7 @@ import kakimizu.homology
 from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
 
 from conftest import (complex_to_nx, connected_graph_systems, flag_complexes, flag_rp2_system,
-                      random_graph_systems)
+                      random_graph_systems, reference_embedded_cycles)
 
 
 def triangle():
@@ -200,6 +200,30 @@ def test_embedded_cycles_emitted_once_and_valid(lattice5):
         seen.add(key)
         assert len(set(c)) == len(c)
         kk.validate_cycle(X, c)
+
+
+@given(flag_complexes(), st.integers(3, 8))
+def test_embedded_cycles_match_the_reference_in_order(X, cap):
+    # isolated vertices and disconnected graphs included; the list, in its
+    # order, is what the sweep reports cycles in
+    for min_len in range(3, cap + 1):
+        assert (list(embedded_cycles(X, cap, min_len))
+                == list(reference_embedded_cycles(X, cap, min_len)))
+
+
+def test_embedded_cycles_of_the_12x12_lattice_match_the_reference():
+    X = build_complex(kk.lattice_model(12, 12))
+    cycles = list(embedded_cycles(X, 8))
+    assert len(cycles) == 17563
+    assert cycles == list(reference_embedded_cycles(X, 8))
+
+
+def test_the_sc_suite_runs_no_all_pairs_bfs():
+    # each start's cycles are searched inside its own ball, and the H1
+    # forest keeps its BFS to itself, so no distance is cached
+    system = kk.lattice_model(5, 5)
+    kk.run_suite(system, "sc")
+    assert build_complex(system)._distances == {}
 
 
 def test_induced_cycles_are_the_diagonal_free_embedded_ones():

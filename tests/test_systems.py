@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import kakimizu as kk
 from kakimizu import (BackendContractError, Complexity, OffsetPattern,
@@ -14,7 +14,7 @@ from kakimizu import (BackendContractError, Complexity, OffsetPattern,
                       save_system)
 from kakimizu.homotopy import _replays_to_point
 
-from conftest import complex_to_nx, connected_graph_systems, random_system
+from conftest import complex_to_nx, connected_graph_systems, random_pattern, random_system
 
 
 # -- Complexity ---------------------------------------------------------------
@@ -202,6 +202,33 @@ def test_round_trip_is_identity_on_canonical_form():
         again = load_system(text)
         assert again == system
         assert save_system(again) == text
+
+
+@st.composite
+def systems_to_save(draw):
+    """Small systems with arbitrary (non-ASCII included) ids, big
+    complexities and valid patterns on some pairs, often none."""
+    ids = sorted(draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=6)))
+    vertices = [(vid, Complexity(draw(st.integers(0, 10**20)), draw(st.integers(0, 9))))
+                for vid in ids]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    patterns = {p: random_pattern(rng, allow_empty=False)
+                for p in itertools.combinations(ids, 2) if draw(st.booleans())}
+    return SurfaceSystem(vertices, patterns)
+
+
+@given(systems_to_save())
+@example(SurfaceSystem([], {}))
+@example(SurfaceSystem([("\u00e9\u2603", Complexity(0, 3)), ("\U0001d54a", Complexity(7, 0))], {}))
+def test_save_system_writes_the_indented_json_layout(system):
+    obj = {
+        "vertices": [{"id": vid, "complexity": [cx.primary, cx.secondary]}
+                     for vid, cx in system.vertex_items()],
+        "patterns": [{"u": u, "v": v, "support_start": pat.support_start,
+                      "counts": list(pat.counts)}
+                     for (u, v), pat in sorted(system.stored_patterns().items())],
+    }
+    assert save_system(system) == json.dumps(obj, indent=2) + "\n"
 
 
 def test_loaded_systems_have_no_backend():
