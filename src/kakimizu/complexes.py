@@ -161,7 +161,8 @@ class FlagComplex:
         vset = set(verts)
         for v in vset:
             self.require_vertex(v)
-        es = [e for e in self.edges if e[0] in vset and e[1] in vset]
+        adj = self._adjset
+        es = [(u, w) for u in vset for w in adj[u] & vset if u < w]
         return FlagComplex(vset, es, self.max_dim)
 
     def link(self, simplex) -> "FlagComplex":

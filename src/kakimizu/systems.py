@@ -73,6 +73,9 @@ class SurfaceSystem:
 
     Each pattern is validated once, at the boundary: here for a system built
     from Python data, in :func:`load_system` for a system read from a file.
+    Here that is once per distinct pattern object, tracked by identity, so a
+    table whose pairs share one pattern (as the models' do) validates it
+    once; an equal object is validated on its own, since ``True`` equals 1.
     Nothing after construction validates again: spread and intersection are
     read off the stored table unchecked, and :meth:`disjoint` is a lookup of
     the pair's key, since only nonempty patterns are stored.
@@ -89,6 +92,7 @@ class SurfaceSystem:
                 cx = Complexity(*cx)
             verts[vid] = cx
         pats = {}
+        checked = set()   # ids of the pattern objects already validated
         for key, pat in sorted((patterns or {}).items()):
             u, v = key
             if u not in verts or v not in verts:
@@ -97,9 +101,11 @@ class SurfaceSystem:
                 raise SystemFormatError(f"pattern pair {key!r} is not in canonical order")
             if pat.is_empty():
                 raise SystemFormatError(f"pattern pair {key!r}: empty patterns must be omitted")
-            problems = validate_pattern(pat)
-            if problems:
-                raise SystemFormatError(f"pattern pair {key!r}: " + "; ".join(problems))
+            if id(pat) not in checked:
+                problems = validate_pattern(pat)
+                if problems:
+                    raise SystemFormatError(f"pattern pair {key!r}: " + "; ".join(problems))
+                checked.add(id(pat))
             pats[(u, v)] = pat
         self._adopt(dict(sorted(verts.items())), pats, dcs, strict_descent)
 
@@ -193,9 +199,12 @@ class SurfaceSystem:
 def load_system(text: str) -> SurfaceSystem:
     """Parse the JSON system format, diagnosing errors by entry and field.
 
-    This is the boundary for file input: every entry is checked here, each
-    pattern validated once, and the first error is raised naming its entry
-    (``patterns[3]: counts[1] = 0: zero count breaks contiguity``).  The
+    This is the boundary for file input: every entry is checked here, and
+    the first error is raised naming its entry (``patterns[3]: counts[1] =
+    0: zero count breaks contiguity``).  Each distinct pattern value is
+    validated once, when it is first seen, and every pair with that value
+    shares the one :class:`OffsetPattern`; only counts that are all exact
+    ints may share, since ``True`` and ``1.0`` compare equal to ``1``.  The
     checked tables go to the system as they are, without a second pass.
 
     Loaded systems carry no double-curve-sum backend: the file format
@@ -227,6 +236,7 @@ def load_system(text: str) -> SurfaceSystem:
             raise SystemFormatError(f"{where}.complexity: must be a pair of non-negative integers")
         vertices[vid] = Complexity(cx[0], cx[1])
     patterns = {}
+    shared = {}   # (support_start, counts) -> the one validated pattern of that value
     raw_patterns = data.get("patterns", [])
     if not isinstance(raw_patterns, list):
         raise SystemFormatError("patterns: must be a list")
@@ -249,10 +259,19 @@ def load_system(text: str) -> SurfaceSystem:
         counts = entry.get("counts")
         if not isinstance(counts, list) or not counts:
             raise SystemFormatError(f"{where}.counts: must be a nonempty list")
-        pat = OffsetPattern(start, tuple(counts))
-        problems = validate_pattern(pat)
-        if problems:
-            raise SystemFormatError(f"{where}: " + "; ".join(problems))
+        counts = tuple(counts)
+        # only exact ints may share: True and 1.0 equal 1, and a list count
+        # cannot be hashed, so any other counts skip the lookup and reach
+        # validate_pattern, which refuses them; a value it accepts holds only
+        # ints, so it can be a key
+        exact = set(map(type, counts)) == {int}
+        pat = shared.get((start, counts)) if exact else None
+        if pat is None:
+            pat = OffsetPattern(start, counts)
+            problems = validate_pattern(pat)
+            if problems:
+                raise SystemFormatError(f"{where}: " + "; ".join(problems))
+            shared[(start, counts)] = pat
         patterns[(u, v)] = pat
     return SurfaceSystem._from_checked(vertices, patterns)
 
@@ -294,12 +313,19 @@ def save_system(system: SurfaceSystem) -> str:
 # -- model backends ----------------------------------------------------------
 
 
-def _store(patterns: dict, u: str, v: str, pat: OffsetPattern) -> None:
-    # store under the canonical key, dualizing when the given orientation
-    # flips; the constructor validates what is stored (dualizing preserves
-    # validity), so the flip itself does not validate
+def _store(patterns: dict, shared: dict, u: str, v: str, d: int) -> None:
+    """Store the models' pattern of a pair at distance ``d``, ``d - 1`` unit
+    counts from translate 1, under the canonical key, dualized when the given
+    orientation flips.  Each ``(d, flip)`` is made once and shared through
+    ``shared`` by every pair that has it, so the constructor validates it
+    once; dualizing preserves validity, so the flip itself does not validate."""
     key = canonical_pair(u, v)
-    patterns[key] = pat if key == (u, v) else _dualize_unchecked(pat)
+    flip = key != (u, v)
+    pat = shared.get((d, flip))
+    if pat is None:
+        pat = OffsetPattern(1, (1,) * (d - 1))
+        pat = shared[(d, flip)] = _dualize_unchecked(pat) if flip else pat
+    patterns[key] = pat
 
 
 def line_model(n_min: int, n_max: int) -> SurfaceSystem:
@@ -313,10 +339,10 @@ def line_model(n_min: int, n_max: int) -> SurfaceSystem:
         raise ValueError("empty window")
     index = {f"u{n}": n for n in range(n_min, n_max + 1)}
     vertices = [(f"u{n}", Complexity(n * n, 0)) for n in range(n_min, n_max + 1)]
-    patterns = {}
+    patterns, shared = {}, {}
     for m in range(n_min, n_max + 1):
         for n in range(m + 2, n_max + 1):
-            _store(patterns, f"u{m}", f"u{n}", OffsetPattern(1, (1,) * (n - m - 1)))
+            _store(patterns, shared, f"u{m}", f"u{n}", n - m)
 
     def dcs(system, u, v):
         m, n = index[u], index[v]
@@ -372,12 +398,11 @@ def lattice_model(width: int, height: int, a0: int = 0, b0: int = 0) -> SurfaceS
 
     decode = {vid(p): p for p in coords}
     vertices = [(vid(p), Complexity(q(p), 0)) for p in coords]
-    patterns = {}
+    patterns, shared = {}, {}
     for p, r in itertools.combinations(coords, 2):
         d = lattice_distance(p, r)
         if d >= 2:
-            u, v = canonical_pair(vid(p), vid(r))
-            patterns[(u, v)] = OffsetPattern(1, (1,) * (d - 1))
+            _store(patterns, shared, *canonical_pair(vid(p), vid(r)), d)
 
     def dcs(system, u, v):
         pu, pv = decode[u], decode[v]
@@ -413,12 +438,12 @@ def graph_to_system(n_vertices: int, edges) -> SurfaceSystem:
     if len(G.distances_from(0)) != n_vertices:
         raise ValueError("graph must be connected")
     vertices = [(vid, Complexity(0, 0)) for vid in ids]
-    patterns = {}
+    patterns, shared = {}, {}
     for i in range(n_vertices):
         dist = G.distances_from(i)
         for j in range(i + 1, n_vertices):
             if dist[j] >= 2:
-                _store(patterns, ids[i], ids[j], OffsetPattern(1, (1,) * (dist[j] - 1)))
+                _store(patterns, shared, ids[i], ids[j], dist[j])
     index = {vid: i for i, vid in enumerate(ids)}
 
     def dcs(system, u, v):

@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import kakimizu as kk
+from kakimizu.patterns import validate_pattern
+from kakimizu.systems import SystemFormatError
 
 settings.register_profile(
     "suite",
@@ -141,6 +144,64 @@ def reference_embedded_cycles(X, max_len, min_len=3):
                     yield new
                 if n < max_len:
                     stack.append(new)
+
+
+def reference_load_system(text):
+    """The loader that ``load_system`` replaced, kept as its oracle: it
+    builds and validates a new pattern for every entry, sharing none."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SystemFormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SystemFormatError("top level must be an object")
+    raw_vertices = data.get("vertices")
+    if not isinstance(raw_vertices, list) or not raw_vertices:
+        raise SystemFormatError("vertices: must be a nonempty list")
+    vertices = {}
+    for i, entry in enumerate(raw_vertices):
+        where = f"vertices[{i}]"
+        if not isinstance(entry, dict):
+            raise SystemFormatError(f"{where}: must be an object")
+        vid = entry.get("id")
+        if not isinstance(vid, str) or not vid:
+            raise SystemFormatError(f"{where}.id: must be a nonempty string")
+        if vid in vertices:
+            raise SystemFormatError(f"{where}.id: duplicate id {vid!r}")
+        cx = entry.get("complexity")
+        if (not isinstance(cx, list) or len(cx) != 2
+                or any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in cx)):
+            raise SystemFormatError(f"{where}.complexity: must be a pair of non-negative integers")
+        vertices[vid] = kk.Complexity(cx[0], cx[1])
+    patterns = {}
+    raw_patterns = data.get("patterns", [])
+    if not isinstance(raw_patterns, list):
+        raise SystemFormatError("patterns: must be a list")
+    for i, entry in enumerate(raw_patterns):
+        where = f"patterns[{i}]"
+        if not isinstance(entry, dict):
+            raise SystemFormatError(f"{where}: must be an object")
+        u, v = entry.get("u"), entry.get("v")
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise SystemFormatError(f"{where}.u/.v: must be strings")
+        if u not in vertices or v not in vertices:
+            raise SystemFormatError(f"{where}: unknown vertex in pair ({u!r}, {v!r})")
+        if not u < v:
+            raise SystemFormatError(f"{where}: pair must be listed in canonical order (u < v)")
+        if (u, v) in patterns:
+            raise SystemFormatError(f"{where}: duplicate pair ({u!r}, {v!r})")
+        start = entry.get("support_start")
+        if not isinstance(start, int) or isinstance(start, bool):
+            raise SystemFormatError(f"{where}.support_start: must be an integer")
+        counts = entry.get("counts")
+        if not isinstance(counts, list) or not counts:
+            raise SystemFormatError(f"{where}.counts: must be a nonempty list")
+        pat = kk.OffsetPattern(start, tuple(counts))
+        problems = validate_pattern(pat)
+        if problems:
+            raise SystemFormatError(f"{where}: " + "; ".join(problems))
+        patterns[(u, v)] = pat
+    return kk.SurfaceSystem._from_checked(vertices, patterns)
 
 
 def complex_to_nx(X):

@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kakimizu as kk
 from kakimizu import (BackendContractError, Complexity, OffsetPattern,
@@ -14,7 +14,8 @@ from kakimizu import (BackendContractError, Complexity, OffsetPattern,
                       save_system)
 from kakimizu.homotopy import _replays_to_point
 
-from conftest import complex_to_nx, connected_graph_systems, random_pattern, random_system
+from conftest import (complex_to_nx, connected_graph_systems, random_pattern, random_system,
+                      reference_load_system)
 
 
 # -- Complexity ---------------------------------------------------------------
@@ -127,6 +128,16 @@ def test_load_spread_one_pair_gives_distance_two():
     assert build_complex(system).distance("a", "c") == 2
 
 
+def second_entry(counts):
+    """Add patterns[1], the pair (a, e) with ``counts`` from translate 1,
+    after the valid ``[1]`` of patterns[0]: an equal value is then already
+    validated when the loader reads it."""
+    def mutate(doc):
+        doc["vertices"].append({"id": "e", "complexity": [0, 0]})
+        doc["patterns"].append({"u": "a", "v": "e", "support_start": 1, "counts": counts})
+    return mutate
+
+
 # each case keeps the id it had when it matched only a fragment of its message
 @pytest.mark.parametrize("mutate, message", [
     pytest.param(lambda d: d["patterns"][0].update(support_start=3),
@@ -163,6 +174,18 @@ def test_load_spread_one_pair_gives_distance_two():
     pytest.param(lambda d: d["patterns"].append(dict(d["patterns"][0])),
                  "patterns[1]: duplicate pair ('a', 'c')",
                  id="<lambda>-duplicate pair"),
+    pytest.param(second_entry([True]),
+                 "patterns[1]: counts[0] = True: count must be an integer",
+                 id="second entry-bool count"),
+    pytest.param(second_entry([1.0]),
+                 "patterns[1]: counts[0] = 1.0: count must be an integer",
+                 id="second entry-float count"),
+    pytest.param(second_entry([[1]]),
+                 "patterns[1]: counts[0] = [1]: count must be an integer",
+                 id="second entry-list count"),
+    pytest.param(second_entry([{"counts": [1]}]),
+                 "patterns[1]: counts[0] = {'counts': [1]}: count must be an integer",
+                 id="second entry-object count"),
     pytest.param(lambda d: d["vertices"].append({"id": "a", "complexity": [0, 0]}),
                  "vertices[2].id: duplicate id 'a'",
                  id="<lambda>-duplicate id"),
@@ -183,6 +206,76 @@ def test_load_diagnostics_cite_entry_and_field(mutate, message):
     with pytest.raises(SystemFormatError) as excinfo:
         load_system(json.dumps(doc))
     assert str(excinfo.value) == message
+
+
+def test_loaded_pairs_share_one_pattern_per_value(lattice7):
+    system = load_system(save_system(lattice7))
+    assert system == lattice7
+    assert len({id(p) for p in system.stored_patterns().values()}) == 11
+    # the loader it replaced made one object per pair
+    text = save_system(kk.line_model(100, 160))
+    for load, objects in ((load_system, 59), (reference_load_system, 1770)):
+        stored = load(text).stored_patterns().values()
+        assert (len(stored), len({id(p) for p in stored})) == (1770, objects)
+
+
+MUTANT_COUNTS = [True, 1.0, 0, -1, "1", None, [1], {"counts": [1]}, 2**70]
+
+
+@st.composite
+def mutated_saved_systems(draw, mutation):
+    """The saved text of a random system whose pairs draw their patterns from
+    a pool of three, with one entry mutated: one count set to ``mutation``,
+    or with ``"start"`` its support shifted, or with ``"duplicate"`` its pair
+    listed again later.  The entry is one whose value equals an earlier
+    entry's, so the loader has already validated that value."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [random_pattern(rng, allow_empty=False) for _ in range(3)]
+    ids = [f"s{i}" for i in range(draw(st.integers(4, 7)))]
+    patterns = {p: rng.choice(pool) for p in itertools.combinations(ids, 2)}
+    doc = json.loads(save_system(SurfaceSystem([(v, Complexity()) for v in ids], patterns)))
+    entries = doc["patterns"]
+    values = [(e["support_start"], e["counts"]) for e in entries]
+    # six pairs or more over three values: some value repeats
+    i = draw(st.sampled_from([i for i, v in enumerate(values) if v in values[:i]]))
+    entry = entries[i]
+    if mutation == "start":
+        entry["support_start"] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif mutation == "duplicate":
+        entries.insert(draw(st.integers(i + 1, len(entries))), dict(entry))
+    else:
+        entry["counts"][draw(st.integers(0, len(entry["counts"]) - 1))] = mutation
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("mutation", [*MUTANT_COUNTS, "start", "duplicate"], ids=repr)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_load_matches_the_unshared_reference_loader(mutation, data):
+    text = data.draw(mutated_saved_systems(mutation))
+    try:
+        expected = reference_load_system(text)
+    except SystemFormatError as exc:
+        with pytest.raises(SystemFormatError) as excinfo:
+            load_system(text)
+        assert str(excinfo.value) == str(exc)
+    else:
+        system = load_system(text)
+        assert system == expected
+        stored = system.stored_patterns().values()
+        assert len({id(p) for p in stored}) == len(set(stored))
+
+
+def test_constructor_validates_each_pattern_object_once(lattice7, hexagon_system):
+    for system in (kk.line_model(0, 12), lattice7, hexagon_system):
+        stored = system.stored_patterns().values()
+        assert len({id(p) for p in stored}) == len(set(stored)) < len(stored)
+    # equal is not enough: True == 1, so the second object is validated too
+    good, bad = OffsetPattern(1, (1,)), OffsetPattern(1, (True,))
+    assert good == bad
+    with pytest.raises(SystemFormatError, match=r"^pattern pair \('a', 'c'\): counts\[0\] = "
+                                                r"True: count must be an integer$"):
+        SurfaceSystem([(v, Complexity()) for v in "abc"], {("a", "b"): good, ("a", "c"): bad})
 
 
 def test_load_rejects_garbage():

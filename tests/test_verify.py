@@ -406,11 +406,17 @@ def test_patterns_are_validated_once_at_the_boundary_and_never_in_run_suite(monk
     monkeypatch.setattr(kakimizu.patterns, "validate_pattern", counting_validate)
     monkeypatch.setattr(kakimizu.systems, "validate_pattern", counting_validate)
     system = kk.load_system(text)
-    assert len(calls) == n_patterns == len(system.stored_patterns())
+    # one call per distinct value, and its pairs share the validated object
+    stored = system.stored_patterns().values()
+    assert n_patterns == len(stored) > len(calls)
+    assert sorted(calls) == sorted(set(stored))
+    assert len({id(p) for p in stored}) == len(calls)
     calls.clear()
     assert run_suite(system, "all").verdict == "pass"
     assert calls == []
     # a model flips some pairs into canonical order before the constructor
-    # validates them; that flip validates nothing
+    # validates them; that flip validates nothing, and each distinct pattern
+    # object (one per distance and orientation) is validated once
     line = kk.line_model(0, 12)
-    assert len(calls) == len(line.stored_patterns())
+    stored = line.stored_patterns().values()
+    assert len(calls) == len({id(p) for p in stored}) == len(set(stored)) < len(stored)
