@@ -172,10 +172,16 @@ class FlagComplex:
         return self.induced(self.common_neighbors(*s))
 
     def link_cycles(self, v, length: int) -> tuple:
-        """Induced ``length``-cycles of the link of vertex ``v``, in scan order."""
+        """Induced ``length``-cycles of the link of vertex ``v``, in the order
+        of :func:`embedded_cycles`, read off the adjacency of its neighbours."""
+        self.require_vertex(v)
+        if length < 3:
+            raise ValueError("cycles have at least 3 edges")
         key = (v, length)
         if key not in self._link_cycles:
-            self._link_cycles[key] = tuple(induced_cycles(self.link((v,)), length))
+            lk = self._adjset[v]
+            adj = {w: [x for x in self._adj[w] if x in lk] for w in self._adj[v]}
+            self._link_cycles[key] = tuple(_cycles(adj, length, length, True))
         return self._link_cycles[key]
 
     def residue(self, simplex) -> "FlagComplex":
@@ -214,11 +220,10 @@ def build_complex(system, max_dim: int = 3) -> FlagComplex:
 # -- cycle enumeration ----------------------------------------------------
 
 
-def _above(X: FlagComplex, s, depth: int) -> dict:
-    """The ball of radius ``depth`` around ``s`` in the subgraph on ``s`` and
-    the vertices above it: each ball vertex other than ``s`` maps to its ball
-    neighbours other than ``s``, in sorted order."""
-    adj = X._adj
+def _above(adj, s, depth: int) -> dict:
+    """The ball of radius ``depth`` around ``s`` in the subgraph of ``adj`` on
+    ``s`` and the vertices above it: each ball vertex other than ``s`` maps
+    to its ball neighbours other than ``s``, in sorted order."""
     ball = set()
     frontier = [s]
     for _ in range(depth):
@@ -232,8 +237,10 @@ def _above(X: FlagComplex, s, depth: int) -> dict:
     return {v: [w for w in adj[v] if w in ball] for v in ball}
 
 
-def embedded_cycles(X: FlagComplex, max_len: int, min_len: int = 3):
-    """Yield every embedded cycle of length ``min_len .. max_len`` exactly once.
+def _cycles(adj, max_len: int, min_len: int, chordless: bool):
+    """Yield every embedded cycle of length ``min_len .. max_len`` of the
+    graph ``adj`` (vertex -> sorted neighbours, keys in sorted order)
+    exactly once; with ``chordless``, only the cycles without a chord.
 
     Canonical form: the least vertex ``s`` first, second vertex less than
     last (killing rotation and reflection).  Such a cycle uses only vertices
@@ -252,17 +259,23 @@ def embedded_cycles(X: FlagComplex, max_len: int, min_len: int = 3):
     walked depth first with its children popped in descending order, so
     the cycles come out as from one depth-first search of all paths from
     ``s`` with the mirror orientation dropped at closing.
+
+    In chordless mode no inner vertex may be adjacent to ``s``: the BFS
+    also avoids the neighbours of ``s`` below ``p1``, a closing neighbour
+    is never extended, and a candidate adjacent to an inner vertex of the
+    path other than its last is skipped.  Every pruned path has a chord, so
+    this yields the chordless cycles of the full walk, in its order.
     """
-    if min_len < 3:
-        raise ValueError("embedded cycles have at least 3 edges")
-    for s in X.vertices:
-        ball = _above(X, s, max_len // 2)
-        firsts = [p for p in X._adj[s] if p in ball]
+    adjset = {v: set(ns) for v, ns in adj.items()} if chordless else None
+    for s in adj:
+        ball = _above(adj, s, max_len // 2)
+        firsts = [p for p in adj[s] if p in ball]
         for i in range(len(firsts) - 2, -1, -1):
+            # distance to a closing neighbour; p1, and in chordless mode
+            # the neighbours of s below it, may not be entered, so they get
+            # a distance no path has room for and the BFS stops there
             p1 = firsts[i]
-            # distance to a closing neighbour; p1 is on every path, so it
-            # gets a distance no path has room for and the BFS stops there
-            dist = {p1: max_len}
+            dist = dict.fromkeys(firsts[:i + 1] if chordless else (p1,), max_len)
             frontier = firsts[i + 1:]
             for q in frontier:
                 dist[q] = 1
@@ -279,51 +292,34 @@ def embedded_cycles(X: FlagComplex, max_len: int, min_len: int = 3):
                 path = stack.pop()
                 n = len(path)
                 room = max_len - n
+                inner = path[1:-1] if chordless else ()
                 for w in ball[path[-1]]:
                     d = dist.get(w)
                     if d is None or d > room or w in path:
                         continue
+                    if chordless and not adjset[w].isdisjoint(inner):
+                        continue
                     new = path + (w,)
                     if d == 1 and n >= min_len - 1:
                         yield new
-                    if n + 1 < max_len:
+                    if n + 1 < max_len and not (chordless and d == 1):
                         stack.append(new)
+
+
+def embedded_cycles(X: FlagComplex, max_len: int, min_len: int = 3):
+    """Yield every embedded cycle of length ``min_len .. max_len`` exactly
+    once, in the canonical form and order of the walk ``_cycles``."""
+    if min_len < 3:
+        raise ValueError("embedded cycles have at least 3 edges")
+    yield from _cycles(X._adj, max_len, min_len, False)
 
 
 def induced_cycles(X: FlagComplex, length: int):
     """Yield every induced (diagonal-free) embedded cycle of exactly
-    ``length`` edges, in canonical form."""
+    ``length`` edges, in the order of :func:`embedded_cycles`."""
     if length < 3:
         raise ValueError("cycles have at least 3 edges")
-    for s in X.vertices:
-        dist = X.distances_from(s)
-        stack = [(s,)]
-        while stack:
-            path = stack.pop()
-            last = path[-1]
-            n = len(path)
-            for w in X.neighbors(last):
-                if w <= s or w in path:
-                    continue
-                d = dist.get(w)
-                if d is None or n + d > length:
-                    continue
-                if n + 1 < length:
-                    # interior vertex: must avoid the start (once past the
-                    # first position) and everything before the predecessor,
-                    # or a diagonal appears
-                    if n >= 2 and X.has_edge(w, s):
-                        continue
-                    if any(X.has_edge(w, u) for u in path[1:-1]):
-                        continue
-                    stack.append(path + (w,))
-                else:
-                    # closing vertex: adjacent to the start, nothing else
-                    if not X.has_edge(w, s) or path[1] >= w:
-                        continue
-                    if any(X.has_edge(w, u) for u in path[1:-1]):
-                        continue
-                    yield path + (w,)
+    yield from _cycles(X._adj, length, length, True)
 
 
 # -- largeness ------------------------------------------------------------

@@ -84,8 +84,8 @@ class SurfaceSystem:
     def __init__(self, vertices, patterns=None, dcs=None, strict_descent=False):
         verts = {}
         for vid, cx in vertices:
-            if not isinstance(vid, str):
-                raise SystemFormatError(f"vertex id {vid!r}: must be a string")
+            if not isinstance(vid, str) or not vid:
+                raise SystemFormatError(f"vertex id {vid!r}: must be a nonempty string")
             if vid in verts:
                 raise SystemFormatError(f"duplicate vertex id {vid!r}")
             if not isinstance(cx, Complexity):

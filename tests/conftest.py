@@ -146,6 +146,43 @@ def reference_embedded_cycles(X, max_len, min_len=3):
                     stack.append(new)
 
 
+def reference_induced_cycles(X, length):
+    """The per-length depth-first search that ``induced_cycles`` replaced,
+    kept as its order oracle: every path from the least vertex, pruned by
+    graph distance to it, whose inner vertices have no chord."""
+    if length < 3:
+        raise ValueError("cycles have at least 3 edges")
+    for s in X.vertices:
+        dist = X.distances_from(s)
+        stack = [(s,)]
+        while stack:
+            path = stack.pop()
+            last = path[-1]
+            n = len(path)
+            for w in X.neighbors(last):
+                if w <= s or w in path:
+                    continue
+                d = dist.get(w)
+                if d is None or n + d > length:
+                    continue
+                if n + 1 < length:
+                    # interior vertex: must avoid the start (once past the
+                    # first position) and everything before the predecessor,
+                    # or a diagonal appears
+                    if n >= 2 and X.has_edge(w, s):
+                        continue
+                    if any(X.has_edge(w, u) for u in path[1:-1]):
+                        continue
+                    stack.append(path + (w,))
+                else:
+                    # closing vertex: adjacent to the start, nothing else
+                    if not X.has_edge(w, s) or path[1] >= w:
+                        continue
+                    if any(X.has_edge(w, u) for u in path[1:-1]):
+                        continue
+                    yield path + (w,)
+
+
 def reference_load_system(text):
     """The loader that ``load_system`` replaced, kept as its oracle: it
     builds and validates a new pattern for every entry, sharing none."""

@@ -77,6 +77,15 @@ def test_validate_ok_and_errors(capsys, line_file, tmp_path):
     assert "support misses" in err
 
 
+def test_byte_order_mark_is_invalid_json(capsys, line_file, tmp_path):
+    # the file is read as text, where a UTF-8 byte order mark is a character
+    # that json refuses
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + open(line_file, "rb").read())
+    code, _, err = run_cli(capsys, "validate", str(bom))
+    assert code == 2 and "invalid JSON" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/nowhere.json")
     assert code == 2 and "error:" in err

@@ -12,7 +12,8 @@ import kakimizu.homology
 from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
 
 from conftest import (complex_to_nx, connected_graph_systems, flag_complexes, flag_rp2_system,
-                      random_graph_systems, reference_embedded_cycles)
+                      random_graph_systems, reference_embedded_cycles,
+                      reference_induced_cycles)
 
 
 def triangle():
@@ -226,18 +227,18 @@ def test_the_sc_suite_runs_no_all_pairs_bfs():
     assert build_complex(system)._distances == {}
 
 
-def test_induced_cycles_are_the_diagonal_free_embedded_ones():
-    for system in random_graph_systems(4, 9, seed=31):
-        X = build_complex(system, max_dim=1)
-        for length in (4, 5, 6):
-            expected = set()
-            for c in embedded_cycles(X, length, min_len=length):
-                diag = any(X.has_edge(c[i], c[j])
-                           for i in range(length) for j in range(i + 2, length)
-                           if (i, j) != (0, length - 1))
-                if not diag:
-                    expected.add(c)
-            assert set(induced_cycles(X, length)) == expected
+def has_chord(X, c):
+    n = len(c)
+    return any(X.has_edge(c[i], c[j]) for i in range(n) for j in range(i + 2, n - (i == 0)))
+
+
+@given(flag_complexes(), st.integers(3, 7))
+def test_induced_cycles_are_the_diagonal_free_embedded_ones(X, length):
+    # the chordless walk yields what filtering the full walk does, in the
+    # full walk's order, and in the order of the per-length search it replaced
+    found = list(induced_cycles(X, length))
+    assert found == list(reference_induced_cycles(X, length))
+    assert found == [c for c in embedded_cycles(X, length, length) if not has_chord(X, c)]
 
 
 # -- largeness ---------------------------------------------------------------
@@ -322,6 +323,36 @@ def test_link_girth_failures_are_the_chordless_link_cycles(X):
     assert len(found) == len(set(found))
     assert set(found) == expected
     assert all(f["problem"] == "diagonal-free short cycle" for f in report.failures)
+
+
+@given(flag_complexes(), st.integers(3, 7))
+@example(wheel(5), 5)
+@example(wheel(6), 6)
+def test_link_cycles_are_the_induced_cycles_of_the_link(X, length):
+    for v in X.vertices:
+        assert X.link_cycles(v, length) == tuple(reference_induced_cycles(X.link((v,)), length))
+
+
+def test_link_cycles_build_no_complex_and_no_distance(monkeypatch):
+    X = build_complex(kk.lattice_model(5, 5))
+    builds = []
+    real_init = FlagComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlagComplex, "__init__", counting_init)
+    assert [c for v in X.vertices for c in X.link_cycles(v, 6)]
+    assert builds == [] and X._distances == {}
+
+
+def test_link_cycles_refuse_unknown_vertices_and_short_lengths():
+    X = hexagon()
+    with pytest.raises(ValueError, match="unknown vertex"):
+        X.link_cycles(6, 4)
+    with pytest.raises(ValueError, match="at least 3"):
+        X.link_cycles(0, 2)
 
 
 # -- homology ----------------------------------------------------------------

@@ -65,6 +65,17 @@ def test_system_rejects_bad_tables():
         SurfaceSystem(verts, {("a", "b"): OffsetPattern(3, (1,))})
 
 
+def test_empty_id_is_refused_on_both_sides_of_a_round_trip():
+    # the constructor refuses what load_system refuses, so save_system
+    # never writes a file that cannot be read back
+    with pytest.raises(SystemFormatError, match="must be a nonempty string"):
+        SurfaceSystem([("", Complexity()), ("a", Complexity())])
+    doc = json.loads(save_system(SurfaceSystem([("a", Complexity())])))
+    doc["vertices"].insert(0, {"id": "", "complexity": [0, 0]})
+    with pytest.raises(SystemFormatError, match=r"^vertices\[0\]\.id: must be a nonempty string$"):
+        load_system(json.dumps(doc))
+
+
 def test_self_pattern_is_undefined():
     system = SurfaceSystem([("a", Complexity()), ("b", Complexity())],
                            {("a", "b"): OffsetPattern(1, (1,))})
