@@ -15,6 +15,7 @@ and the complexity-descent cycle reduction.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import json
@@ -79,6 +80,12 @@ class SurfaceSystem:
     Nothing after construction validates again: spread and intersection are
     read off the stored table unchecked, and :meth:`disjoint` is a lookup of
     the pair's key, since only nonempty patterns are stored.
+
+    Spread and intersection are computed once per stored pattern object,
+    keyed by identity, plus once for ``EMPTY_PATTERN``, never per pair: a
+    table whose pairs share a few objects holds a few numbers, and
+    :meth:`spread` and :meth:`intersection` are two lookups.  A system has
+    at least one vertex, as a file must.
     """
 
     def __init__(self, vertices, patterns=None, dcs=None, strict_descent=False):
@@ -91,9 +98,15 @@ class SurfaceSystem:
             if not isinstance(cx, Complexity):
                 cx = Complexity(*cx)
             verts[vid] = cx
+        if not verts:
+            # load_system refuses such a file, so no system may have one
+            raise SystemFormatError("vertices: must be a nonempty list")
+        patterns = patterns or {}
         pats = {}
         checked = set()   # ids of the pattern objects already validated
-        for key, pat in sorted((patterns or {}).items()):
+        # the keys alone are sorted, not one item tuple per pair
+        for key in sorted(patterns):
+            pat = patterns[key]
             u, v = key
             if u not in verts or v not in verts:
                 raise SystemFormatError(f"pattern pair {key!r} mentions an unknown vertex")
@@ -106,7 +119,8 @@ class SurfaceSystem:
                 if problems:
                     raise SystemFormatError(f"pattern pair {key!r}: " + "; ".join(problems))
                 checked.add(id(pat))
-            pats[(u, v)] = pat
+            # the caller's key tuple is kept, not copied: one tuple per pair
+            pats[key if type(key) is tuple else (u, v)] = pat
         self._adopt(dict(sorted(verts.items())), pats, dcs, strict_descent)
 
     @classmethod
@@ -116,16 +130,23 @@ class SurfaceSystem:
         :func:`load_system`'s way in, which checks each entry itself so that
         its errors can name the entry."""
         system = cls.__new__(cls)
-        system._adopt(dict(sorted(vertices.items())), dict(sorted(patterns.items())),
-                      None, False)
+        system._adopt(dict(sorted(vertices.items())),
+                      {key: patterns[key] for key in sorted(patterns)}, None, False)
         return system
 
     def _adopt(self, vertices: dict, patterns: dict, dcs, strict_descent) -> None:
         # both tables arrive sorted by key
         self._vertices = vertices
         self._patterns = patterns
-        self._numbers = {}     # canonical pair -> (spread, intersection): dualize keeps both
+        # id of a stored pattern object, or of EMPTY_PATTERN -> (spread,
+        # intersection); the table keeps each object alive, so its id is
+        # stable, and dualize keeps both numbers, so one entry serves both
+        # orders of every pair that shares the object
+        self._numbers = {}
         self._complexes = {}   # max_dim -> FlagComplex, filled by build_complex
+        # the failures of d <= i + 1 from verify's pair pass, handed from the
+        # distance claim, which makes the pass, to the bound, which takes them
+        self._bound_failures = None
         self._dcs = dcs
         self.strict_descent = bool(strict_descent)
 
@@ -168,13 +189,21 @@ class SurfaceSystem:
         return self._pair_numbers(u, v)[1]
 
     def _pair_numbers(self, u, v) -> tuple:
-        key = canonical_pair(u, v)
-        numbers = self._numbers.get(key)
-        if numbers is None:
+        pat = self._patterns.get(canonical_pair(u, v))
+        if pat is None:
+            # only a valid pair has a stored pattern, so only here can the
+            # pair be refused
             self._require_pair(u, v)
-            pat = self._patterns.get(key, EMPTY_PATTERN)
-            numbers = self._numbers[key] = (_spread_unchecked(pat),
-                                            _intersection_unchecked(pat))
+            pat = EMPTY_PATTERN
+        return self._pattern_numbers(pat)
+
+    def _pattern_numbers(self, pat: OffsetPattern) -> tuple:
+        """(spread, intersection) of a stored pattern object or of
+        ``EMPTY_PATTERN``, computed once per object."""
+        numbers = self._numbers.get(id(pat))
+        if numbers is None:
+            numbers = self._numbers[id(pat)] = (_spread_unchecked(pat),
+                                                _intersection_unchecked(pat))
         return numbers
 
     def stored_patterns(self) -> dict:
@@ -207,10 +236,29 @@ def load_system(text: str) -> SurfaceSystem:
     ints may share, since ``True`` and ``1.0`` compare equal to ``1``.  The
     checked tables go to the system as they are, without a second pass.
 
+    The loader makes only acyclic data (decoded JSON values, tuples,
+    patterns and the system's tables), which the cyclic garbage collector
+    can never free, yet a large file would trigger its passes over all of
+    it.  So the collector is paused while the text is decoded and the
+    tables are built, and the caller's setting is restored on the way out,
+    error or not.
+
     Loaded systems carry no double-curve-sum backend: the file format
     describes intersection data only, and new interpolating vertices cannot
     be synthesized from it.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_system(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_system(text: str) -> SurfaceSystem:
+    # an entry's label (``patterns[3]``) is formatted only when the entry is
+    # refused, not once per entry of a file that may hold millions
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -222,18 +270,18 @@ def load_system(text: str) -> SurfaceSystem:
         raise SystemFormatError("vertices: must be a nonempty list")
     vertices = {}
     for i, entry in enumerate(raw_vertices):
-        where = f"vertices[{i}]"
         if not isinstance(entry, dict):
-            raise SystemFormatError(f"{where}: must be an object")
+            raise SystemFormatError(f"vertices[{i}]: must be an object")
         vid = entry.get("id")
         if not isinstance(vid, str) or not vid:
-            raise SystemFormatError(f"{where}.id: must be a nonempty string")
+            raise SystemFormatError(f"vertices[{i}].id: must be a nonempty string")
         if vid in vertices:
-            raise SystemFormatError(f"{where}.id: duplicate id {vid!r}")
+            raise SystemFormatError(f"vertices[{i}].id: duplicate id {vid!r}")
         cx = entry.get("complexity")
         if (not isinstance(cx, list) or len(cx) != 2
                 or any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in cx)):
-            raise SystemFormatError(f"{where}.complexity: must be a pair of non-negative integers")
+            raise SystemFormatError(
+                f"vertices[{i}].complexity: must be a pair of non-negative integers")
         vertices[vid] = Complexity(cx[0], cx[1])
     patterns = {}
     shared = {}   # (support_start, counts) -> the one validated pattern of that value
@@ -241,24 +289,25 @@ def load_system(text: str) -> SurfaceSystem:
     if not isinstance(raw_patterns, list):
         raise SystemFormatError("patterns: must be a list")
     for i, entry in enumerate(raw_patterns):
-        where = f"patterns[{i}]"
         if not isinstance(entry, dict):
-            raise SystemFormatError(f"{where}: must be an object")
+            raise SystemFormatError(f"patterns[{i}]: must be an object")
         u, v = entry.get("u"), entry.get("v")
         if not isinstance(u, str) or not isinstance(v, str):
-            raise SystemFormatError(f"{where}.u/.v: must be strings")
+            raise SystemFormatError(f"patterns[{i}].u/.v: must be strings")
         if u not in vertices or v not in vertices:
-            raise SystemFormatError(f"{where}: unknown vertex in pair ({u!r}, {v!r})")
+            raise SystemFormatError(f"patterns[{i}]: unknown vertex in pair ({u!r}, {v!r})")
         if not u < v:
-            raise SystemFormatError(f"{where}: pair must be listed in canonical order (u < v)")
-        if (u, v) in patterns:
-            raise SystemFormatError(f"{where}: duplicate pair ({u!r}, {v!r})")
+            raise SystemFormatError(
+                f"patterns[{i}]: pair must be listed in canonical order (u < v)")
+        key = (u, v)
+        if key in patterns:
+            raise SystemFormatError(f"patterns[{i}]: duplicate pair ({u!r}, {v!r})")
         start = entry.get("support_start")
         if not isinstance(start, int) or isinstance(start, bool):
-            raise SystemFormatError(f"{where}.support_start: must be an integer")
+            raise SystemFormatError(f"patterns[{i}].support_start: must be an integer")
         counts = entry.get("counts")
         if not isinstance(counts, list) or not counts:
-            raise SystemFormatError(f"{where}.counts: must be a nonempty list")
+            raise SystemFormatError(f"patterns[{i}].counts: must be a nonempty list")
         counts = tuple(counts)
         # only exact ints may share: True and 1.0 equal 1, and a list count
         # cannot be hashed, so any other counts skip the lookup and reach
@@ -270,9 +319,9 @@ def load_system(text: str) -> SurfaceSystem:
             pat = OffsetPattern(start, counts)
             problems = validate_pattern(pat)
             if problems:
-                raise SystemFormatError(f"{where}: " + "; ".join(problems))
+                raise SystemFormatError(f"patterns[{i}]: " + "; ".join(problems))
             shared[(start, counts)] = pat
-        patterns[(u, v)] = pat
+        patterns[key] = pat
     return SurfaceSystem._from_checked(vertices, patterns)
 
 

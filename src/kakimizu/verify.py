@@ -19,11 +19,12 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (ContractibilityReport, FlagComplex, build_complex,
+from .complexes import (ContractibilityReport, FlagComplex, _levels, build_complex,
                         contractibility_report, embedded_cycles, homology_h1,
                         mod2_cocycles)
 from .homotopy import (_is_mod2_cocycle, _pairs_odd, _replays_to_point,
                        reduce_cycle_homotopy)
+from .patterns import EMPTY_PATTERN
 from .systems import SurfaceSystem, kakimizu_null_homotopy
 
 
@@ -129,58 +130,89 @@ def _timed(report: ClaimReport, started: float) -> ClaimReport:
     return report
 
 
+def _pair_pass(system: SurfaceSystem) -> tuple:
+    """The one pass over the vertex pairs that the two distance claims share.
+
+    One BFS per source, over the system's complex, with nothing kept past its
+    row: no distance table is filled.  Spread and intersection are lookups
+    per pattern object.  Returns the failures of d = cs + 1 and those of
+    d <= i + 1, each in pair order."""
+    adj = build_complex(system)._adj
+    ids = system.vertex_ids()
+    stored = system._patterns
+    numbers = system._pattern_numbers
+    distance_failures, bound_failures = [], []
+    for i, u in enumerate(ids):
+        dist = _levels(adj, u)
+        for v in ids[i + 1:]:
+            d = dist.get(v)
+            cs, inum = numbers(stored.get((u, v), EMPTY_PATTERN))
+            if d != cs + 1:
+                distance_failures.append({"u": u, "v": v, "distance": d, "spread": cs})
+            if d is None or d > inum + 1:
+                bound_failures.append({"u": u, "v": v, "distance": d, "intersection": inum})
+    return distance_failures, bound_failures
+
+
+def _pair_count(system: SurfaceSystem) -> int:
+    n = len(system.vertex_ids())
+    return n * (n - 1) // 2
+
+
 def verify_distance_theorem(system: SurfaceSystem) -> ClaimReport:
     """Distance in the disjointness complex equals covering spread plus one,
-    for every pair of distinct vertices."""
+    for every pair of distinct vertices.
+
+    This claim owns the pair pass (:func:`_pair_pass`) that it shares with
+    :func:`verify_st_bound`: one BFS per source serves both, and its time is
+    this claim's.  The bound's failures are left on the system for
+    :func:`verify_st_bound`, which takes them once; run on its own, the bound
+    makes the pass itself."""
     started = time.perf_counter()
     report = ClaimReport("distance_equals_spread_plus_one",
                          "d(u, v) = cs(u, v) + 1 for every pair of distinct vertices")
-    X = build_complex(system)
-    ids = system.vertex_ids()
-    for u in ids:
-        dist = X.distances_from(u)
-        for v in ids:
-            if v <= u:
-                continue
-            report.instances += 1
-            d = dist.get(v)
-            cs = system.spread(u, v)
-            if d != cs + 1:
-                report.failures.append({"u": u, "v": v, "distance": d, "spread": cs})
+    report.failures, system._bound_failures = _pair_pass(system)
+    report.instances = _pair_count(system)
     return _timed(report, started)
 
 
 def verify_st_bound(system: SurfaceSystem) -> ClaimReport:
-    """Distance is bounded above by intersection number plus one."""
+    """Distance is bounded above by intersection number plus one.
+
+    Its failures come from the pair pass that
+    :func:`verify_distance_theorem` owns, when that claim ran first on this
+    system (as :func:`run_suite` runs them); otherwise this claim makes the
+    pass."""
     started = time.perf_counter()
     report = ClaimReport("distance_le_intersection_plus_one",
                          "d(u, v) <= i(u, v) + 1 for every pair of distinct vertices")
-    X = build_complex(system)
-    ids = system.vertex_ids()
-    for u in ids:
-        dist = X.distances_from(u)
-        for v in ids:
-            if v <= u:
-                continue
-            report.instances += 1
-            d = dist.get(v)
-            inum = system.intersection(u, v)
-            if d is None or d > inum + 1:
-                report.failures.append({"u": u, "v": v, "distance": d, "intersection": inum})
+    failures, system._bound_failures = system._bound_failures, None
+    report.failures = failures if failures is not None else _pair_pass(system)[1]
+    report.instances = _pair_count(system)
     return _timed(report, started)
 
 
 def verify_cs_le_i(system: SurfaceSystem) -> ClaimReport:
-    """Covering spread never exceeds intersection number."""
+    """Covering spread never exceeds intersection number.
+
+    Both numbers belong to the pattern, so each distinct pattern object is
+    checked once, and the pairs are walked, in order, only to list the
+    failures of an object that fails.  No BFS is needed."""
     started = time.perf_counter()
     report = ClaimReport("spread_le_intersection",
                          "cs(u, v) <= i(u, v) for every pair of distinct vertices")
-    for u, v in itertools.combinations(system.vertex_ids(), 2):
-        report.instances += 1
-        cs = system.spread(u, v)
-        inum = system.intersection(u, v)
-        if cs > inum:
-            report.failures.append({"u": u, "v": v, "spread": cs, "intersection": inum})
+    report.instances = _pair_count(system)
+    stored = system._patterns
+    numbers = system._pattern_numbers
+    # the empty pattern has 0 <= 0, so only stored objects can fail
+    objects = {id(p): p for p in stored.values()}
+    failing = {key for key, pat in objects.items() if numbers(pat)[0] > numbers(pat)[1]}
+    if failing:
+        for u, v in itertools.combinations(system.vertex_ids(), 2):
+            pat = stored.get((u, v))
+            if id(pat) in failing:
+                cs, inum = numbers(pat)
+                report.failures.append({"u": u, "v": v, "spread": cs, "intersection": inum})
     return _timed(report, started)
 
 
@@ -333,7 +365,9 @@ SUITES["all"] = SUITES["distance"] + SUITES["girth"] + SUITES["sc"] + SUITES["co
 def run_suite(system: SurfaceSystem, suite: str = "all",
               bounds: ReductionBounds = ReductionBounds()) -> VerificationReport:
     """Run one named suite over a system.  Every check shares the system's
-    one disjointness complex and the facts cached on it."""
+    one disjointness complex and the facts cached on it, and the distance
+    claim's one pass over the pairs serves the bound d <= i + 1 too; no
+    distance table is filled and nothing is kept per pair."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     X = build_complex(system)

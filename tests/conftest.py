@@ -241,6 +241,52 @@ def reference_load_system(text):
     return kk.SurfaceSystem._from_checked(vertices, patterns)
 
 
+def reference_pair_claims(system):
+    """The three pair loops that the one pair pass replaced, kept as its
+    oracle: one distance table per source, from a complex of the system's
+    own, and the numbers read off each pair's pattern.  Returns each claim's
+    (instances, failures), in the order ``run_suite`` lists them."""
+    from kakimizu.patterns import _intersection_unchecked, _spread_unchecked
+
+    def spread(u, v):
+        return _spread_unchecked(system.pattern(u, v))
+
+    def intersection(u, v):
+        return _intersection_unchecked(system.pattern(u, v))
+
+    ids = system.vertex_ids()
+    X = kk.FlagComplex(ids, [p for p in itertools.combinations(ids, 2) if system.disjoint(*p)],
+                       max_dim=1)
+    distance, st_bound, cs_le_i = [0, []], [0, []], [0, []]
+    for u in ids:
+        dist = X.distances_from(u)
+        for v in ids:
+            if v <= u:
+                continue
+            distance[0] += 1
+            d = dist.get(v)
+            cs = spread(u, v)
+            if d != cs + 1:
+                distance[1].append({"u": u, "v": v, "distance": d, "spread": cs})
+    for u in ids:
+        dist = X.distances_from(u)
+        for v in ids:
+            if v <= u:
+                continue
+            st_bound[0] += 1
+            d = dist.get(v)
+            inum = intersection(u, v)
+            if d is None or d > inum + 1:
+                st_bound[1].append({"u": u, "v": v, "distance": d, "intersection": inum})
+    for u, v in itertools.combinations(ids, 2):
+        cs_le_i[0] += 1
+        cs = spread(u, v)
+        inum = intersection(u, v)
+        if cs > inum:
+            cs_le_i[1].append({"u": u, "v": v, "spread": cs, "intersection": inum})
+    return tuple(map(tuple, (distance, st_bound, cs_le_i)))
+
+
 def complex_to_nx(X):
     import networkx as nx
 

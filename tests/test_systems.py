@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -13,6 +14,7 @@ from kakimizu import (BackendContractError, Complexity, OffsetPattern,
                       intersection_number, kakimizu_null_homotopy, load_system,
                       save_system)
 from kakimizu.homotopy import _replays_to_point
+from kakimizu.patterns import EMPTY_PATTERN
 
 from conftest import (complex_to_nx, connected_graph_systems, random_pattern, random_system,
                       reference_load_system)
@@ -74,6 +76,19 @@ def test_empty_id_is_refused_on_both_sides_of_a_round_trip():
     doc["vertices"].insert(0, {"id": "", "complexity": [0, 0]})
     with pytest.raises(SystemFormatError, match=r"^vertices\[0\]\.id: must be a nonempty string$"):
         load_system(json.dumps(doc))
+
+
+def test_a_system_without_vertices_is_refused_on_both_sides_of_a_round_trip():
+    # save_system would write a file that load_system refuses, so the
+    # constructor refuses it too, with the loader's message
+    text = '{\n  "vertices": [],\n  "patterns": []\n}\n'
+    with pytest.raises(SystemFormatError) as loaded:
+        load_system(text)
+    with pytest.raises(SystemFormatError) as built:
+        SurfaceSystem([])
+    assert str(built.value) == str(loaded.value) == "vertices: must be a nonempty list"
+    one = SurfaceSystem([("a", Complexity())])
+    assert load_system(save_system(one)) == one
 
 
 def test_self_pattern_is_undefined():
@@ -289,6 +304,37 @@ def test_constructor_validates_each_pattern_object_once(lattice7, hexagon_system
         SurfaceSystem([(v, Complexity()) for v in "abc"], {("a", "b"): good, ("a", "c"): bad})
 
 
+@pytest.mark.parametrize("text, refused", [
+    (save_system(kk.line_model(0, 6)), False),
+    ("{nope", True),
+    ('{"vertices": [{"id": "a", "complexity": [0]}]}', True),
+], ids=["loaded", "bad JSON", "bad entry"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+def test_load_leaves_the_garbage_collector_as_it_found_it(text, refused, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            load_system(text)
+            loaded = True
+        except SystemFormatError:
+            loaded = False
+        assert (loaded, gc.isenabled()) == (not refused, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_numbers_are_kept_once_per_pattern_object(lattice7):
+    for system in (load_system(save_system(lattice7)), kk.line_model(0, 12),
+                   kk.graph_to_system(6, [(i, (i + 1) % 6) for i in range(6)])):
+        ids = system.vertex_ids()
+        for u, v in itertools.permutations(ids, 2):
+            system.spread(u, v)
+            system.intersection(u, v)
+        objects = {id(p) for p in system.stored_patterns().values()}
+        assert set(system._numbers) == objects | {id(EMPTY_PATTERN)}
+
+
 def test_load_rejects_garbage():
     with pytest.raises(SystemFormatError, match="invalid JSON"):
         load_system("{nope")
@@ -312,7 +358,8 @@ def test_round_trip_is_identity_on_canonical_form():
 def systems_to_save(draw):
     """Small systems with arbitrary (non-ASCII included) ids, big
     complexities and valid patterns on some pairs, often none."""
-    ids = sorted(draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=6)))
+    ids = sorted(draw(st.lists(st.text(min_size=1, max_size=4), unique=True,
+                               min_size=1, max_size=6)))
     vertices = [(vid, Complexity(draw(st.integers(0, 10**20)), draw(st.integers(0, 9))))
                 for vid in ids]
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -322,7 +369,6 @@ def systems_to_save(draw):
 
 
 @given(systems_to_save())
-@example(SurfaceSystem([], {}))
 @example(SurfaceSystem([("\u00e9\u2603", Complexity(0, 3)), ("\U0001d54a", Complexity(7, 0))], {}))
 def test_save_system_writes_the_indented_json_layout(system):
     obj = {

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -21,7 +22,7 @@ from kakimizu.homotopy import _is_mod2_cocycle, _pairs_odd, _replays_to_point
 from kakimizu.verify import ClaimReport, _residue_vertices
 
 from conftest import (complex_to_nx, connected_graph_systems, flag_complexes,
-                      random_graph_systems)
+                      random_graph_systems, random_pattern, reference_pair_claims)
 
 NONTRIVIAL = "nontrivial in H1(X; Z/2)"
 
@@ -65,6 +66,52 @@ def test_st_bound_sees_unreachable_pairs_as_failures():
     report = verify_st_bound(system)
     assert report.verdict == "fail"
     assert report.failures[0]["distance"] is None
+
+
+@st.composite
+def shared_pattern_systems(draw):
+    """Systems whose pairs draw their patterns from a small pool of shared
+    objects, or are disjoint.  The table is taken unchecked, so nothing
+    makes d = cs + 1 hold, the complex may be disconnected, and the pool may
+    hold a tampered pattern whose spread exceeds its intersection."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [random_pattern(rng, allow_empty=False) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        pool.append(kk.OffsetPattern(0, (1, 0, 1)))   # spread 3, intersection 2
+    ids = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    patterns = {}
+    for pair in itertools.combinations(ids, 2):
+        k = draw(st.integers(-len(pool), len(pool) - 1))
+        if k >= 0:   # about half the pairs are disjoint
+            patterns[pair] = pool[k]
+    return kk.SurfaceSystem._from_checked({v: kk.Complexity() for v in ids}, patterns)
+
+
+def _rows(reports) -> tuple:
+    return tuple((r.instances, r.failures) for r in reports)
+
+
+@given(st.one_of(shared_pattern_systems(), connected_graph_systems()))
+def test_pair_claims_equal_the_reference_loops(system):
+    expected = reference_pair_claims(system)
+    report = run_suite(system, "distance")
+    assert _rows(report.claims) == expected
+    assert system._bound_failures is None
+    # before the distance claim the bound makes its own pass; after it, the
+    # bound takes the failures that the distance claim's pass left
+    assert _rows([verify_st_bound(system)]) == expected[1:2]
+    assert _rows([verify_distance_theorem(system), verify_st_bound(system),
+                  verify_cs_le_i(system)]) == expected
+    assert system._bound_failures is None
+    assert build_complex(system)._distances == {}
+
+
+def test_run_suite_fills_no_distance_table_and_no_per_pair_numbers():
+    system = kk.load_system(kk.save_system(kk.lattice_model(6, 6)))
+    assert run_suite(system, "all").verdict == "pass"
+    assert build_complex(system)._distances == {}
+    objects = {id(p) for p in system.stored_patterns().values()}
+    assert len(system._numbers) <= len(objects) + 1 < len(system.stored_patterns())
 
 
 def test_link_girth_on_lattice(lattice7):
