@@ -211,7 +211,7 @@ def build_complex(system, max_dim: int = 3) -> FlagComplex:
     with no stored pattern; faces are cliques."""
     if max_dim not in system._complexes:
         ids = system.vertex_ids()   # sorted, so each pair comes in canonical order
-        stored = system.stored_patterns()
+        stored = system._patterns
         edges = [p for p in itertools.combinations(ids, 2) if p not in stored]
         system._complexes[max_dim] = FlagComplex(ids, edges, max_dim=max_dim)
     return system._complexes[max_dim]
@@ -517,6 +517,12 @@ def contractibility_report(X: FlagComplex) -> ContractibilityReport:
 # -- exports ----------------------------------------------------------------
 
 
+def _dot_id(v) -> str:
+    """``v`` as a quoted DOT id: ``\\"`` is the one escape DOT defines inside
+    quoted strings."""
+    return '"' + str(v).replace('"', '\\"') + '"'
+
+
 def to_dot(X: FlagComplex) -> str:
     """1-skeleton in DOT: one line per edge, vertices as quoted ids.
     Isolated vertices get node statements so nothing is lost."""
@@ -524,9 +530,9 @@ def to_dot(X: FlagComplex) -> str:
     lines = ["graph {"]
     for v in X.vertices:
         if v not in used:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_dot_id(v)};")
     for a, b in sorted(X.edges):
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f"  {_dot_id(a)} -- {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -314,7 +314,10 @@ def reduce_cycle_homotopy(X, cycle, max_len: int | None = None,
     Backtracks are erased eagerly (they are free), then a greedy descent
     handles the common cases, and a breadth-first search over canonical
     cycle states up to ``max_len`` covers the rest of the budget.
+    ``max_steps = 0`` is a budget of no steps; a negative one is refused.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     start = validate_cycle(X, cycle)
     if max_len is None:
         max_len = 2 * len(start) + 2

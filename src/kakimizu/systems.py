@@ -85,7 +85,9 @@ class SurfaceSystem:
     keyed by identity, plus once for ``EMPTY_PATTERN``, never per pair: a
     table whose pairs share a few objects holds a few numbers, and
     :meth:`spread` and :meth:`intersection` are two lookups.  A system has
-    at least one vertex, as a file must.
+    at least one vertex, as a file must.  The pattern table is kept in the
+    order it was given, since nothing reads it in order; :func:`save_system`
+    sorts what it writes.
     """
 
     def __init__(self, vertices, patterns=None, dcs=None, strict_descent=False):
@@ -104,9 +106,7 @@ class SurfaceSystem:
         patterns = patterns or {}
         pats = {}
         checked = set()   # ids of the pattern objects already validated
-        # the keys alone are sorted, not one item tuple per pair
-        for key in sorted(patterns):
-            pat = patterns[key]
+        for key, pat in patterns.items():
             u, v = key
             if u not in verts or v not in verts:
                 raise SystemFormatError(f"pattern pair {key!r} mentions an unknown vertex")
@@ -128,14 +128,15 @@ class SurfaceSystem:
         """A backend-free system over tables that have already passed every
         check :meth:`__init__` makes; nothing is validated again.  This is
         :func:`load_system`'s way in, which checks each entry itself so that
-        its errors can name the entry."""
+        its errors can name the entry.  The pattern table is adopted as it
+        is, not copied."""
         system = cls.__new__(cls)
-        system._adopt(dict(sorted(vertices.items())),
-                      {key: patterns[key] for key in sorted(patterns)}, None, False)
+        system._adopt(dict(sorted(vertices.items())), patterns, None, False)
         return system
 
     def _adopt(self, vertices: dict, patterns: dict, dcs, strict_descent) -> None:
-        # both tables arrive sorted by key
+        # the vertex table is sorted by id, since vertex_ids() order is
+        # output; the pattern table is kept in the caller's order
         self._vertices = vertices
         self._patterns = patterns
         # id of a stored pattern object, or of EMPTY_PATTERN -> (spread,
@@ -144,9 +145,9 @@ class SurfaceSystem:
         # orders of every pair that shares the object
         self._numbers = {}
         self._complexes = {}   # max_dim -> FlagComplex, filled by build_complex
-        # the failures of d <= i + 1 from verify's pair pass, handed from the
-        # distance claim, which makes the pass, to the bound, which takes them
-        self._bound_failures = None
+        # the failures of the three pair claims, from verify's one pass over
+        # the pairs, made by whichever of those claims runs first
+        self._pair_failures = None
         self._dcs = dcs
         self.strict_descent = bool(strict_descent)
 
@@ -207,6 +208,7 @@ class SurfaceSystem:
         return numbers
 
     def stored_patterns(self) -> dict:
+        """A copy of the pattern table, in the order it was given."""
         return dict(self._patterns)
 
     def vertex_items(self) -> tuple:
@@ -353,7 +355,7 @@ def save_system(system: SurfaceSystem) -> str:
         '{\n      "u": ' + dump(u) + ',\n      "v": ' + dump(v)
         + ',\n      "support_start": ' + num(pat.support_start)
         + ',\n      "counts": ' + _json_list(list(map(num, pat.counts)), "      ") + "\n    }"
-        for (u, v), pat in sorted(system.stored_patterns().items())
+        for (u, v), pat in sorted(system._patterns.items())
     ]
     return ('{\n  "vertices": ' + _json_list(vertices, "  ")
             + ',\n  "patterns": ' + _json_list(patterns, "  ") + "\n}\n")
@@ -507,6 +509,8 @@ def random_connected_graph(n: int, extra_edge_prob: float, rng: random.Random):
     chord independently with the given probability.  Connected by construction."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if not 0 <= extra_edge_prob <= 1:   # NaN fails this test too
+        raise ValueError(f"extra_edge_prob must lie in [0, 1], got {extra_edge_prob!r}")
     edges = set()
     if n == 2:
         edges.add((0, 1))

@@ -2,7 +2,9 @@
 
 Each suite checks one statement of the theory over a concrete system or
 complex at desk scale and returns a :class:`ClaimReport` whose failures carry
-replayable witnesses (vertex pairs, cycles, or homology data).  Only
+replayable witnesses (vertex pairs, cycles, or homology data).  The three
+pair claims, d = cs + 1, d <= i + 1 and cs <= i, share one pass over the
+vertex pairs, made once per system by whichever of them runs first.  Only
 ``simple_connectivity`` runs a bounded homotopy search; a search that stops
 gets a third verdict, ``inconclusive``, which is never folded into pass or
 fail.  Only chordless cycles need that search: a chord cuts a cycle into two
@@ -11,17 +13,17 @@ search cannot certify nontriviality; a mod-2 1-cocycle that pairs odd with a
 cycle does, and turns that cycle into a failure before any search is spent
 on it.  Residues need no cycle at all: in a flag complex the residue of a
 simplex is a cone, certified once per simplex from the adjacency sets.
+A disconnected complex is not simply connected, and fails that claim.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (ContractibilityReport, FlagComplex, _levels, build_complex,
-                        contractibility_report, embedded_cycles, homology_h1,
-                        mod2_cocycles)
+from .complexes import (ContractibilityReport, FlagComplex, _levels, _spanning_forest,
+                        build_complex, contractibility_report, embedded_cycles,
+                        homology_h1, mod2_cocycles)
 from .homotopy import (_is_mod2_cocycle, _pairs_odd, _replays_to_point,
                        reduce_cycle_homotopy)
 from .patterns import EMPTY_PATTERN
@@ -40,7 +42,8 @@ class ReductionBounds:
     greedy descent never makes a cycle longer (a cut drops a vertex, a
     substitution keeps or drops the length), which is also why the descent
     keeps visited states of the current length only.  Only chordless cycles
-    spend steps."""
+    spend steps.  ``max_steps = 0`` is a budget of no steps; a negative one
+    is refused."""
 
     max_cycle_len: int = 8
     max_len: int = 16
@@ -49,6 +52,8 @@ class ReductionBounds:
     def __post_init__(self):
         if self.max_cycle_len < 3:
             raise ValueError("max_cycle_len must be at least 3")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
 
 
 @dataclass
@@ -130,90 +135,69 @@ def _timed(report: ClaimReport, started: float) -> ClaimReport:
     return report
 
 
-def _pair_pass(system: SurfaceSystem) -> tuple:
-    """The one pass over the vertex pairs that the two distance claims share.
+def _pair_failures(system: SurfaceSystem) -> tuple:
+    """The failures of the three pair claims, found in one pass over the
+    vertex pairs, made once per system and kept on it.
 
     One BFS per source, over the system's complex, with nothing kept past its
     row: no distance table is filled.  Spread and intersection are lookups
-    per pattern object.  Returns the failures of d = cs + 1 and those of
-    d <= i + 1, each in pair order."""
-    adj = build_complex(system)._adj
-    ids = system.vertex_ids()
-    stored = system._patterns
-    numbers = system._pattern_numbers
-    distance_failures, bound_failures = [], []
-    for i, u in enumerate(ids):
-        dist = _levels(adj, u)
-        for v in ids[i + 1:]:
-            d = dist.get(v)
-            cs, inum = numbers(stored.get((u, v), EMPTY_PATTERN))
-            if d != cs + 1:
-                distance_failures.append({"u": u, "v": v, "distance": d, "spread": cs})
-            if d is None or d > inum + 1:
-                bound_failures.append({"u": u, "v": v, "distance": d, "intersection": inum})
-    return distance_failures, bound_failures
+    per pattern object.  Returns the failures of d = cs + 1, of d <= i + 1
+    and of cs <= i, each in pair order."""
+    if system._pair_failures is None:
+        adj = build_complex(system)._adj
+        ids = system.vertex_ids()
+        stored = system._patterns
+        numbers = system._pattern_numbers
+        distance, bound, spread = [], [], []
+        for i, u in enumerate(ids):
+            dist = _levels(adj, u)
+            for v in ids[i + 1:]:
+                d = dist.get(v)
+                cs, inum = numbers(stored.get((u, v), EMPTY_PATTERN))
+                if d != cs + 1:
+                    distance.append({"u": u, "v": v, "distance": d, "spread": cs})
+                if d is None or d > inum + 1:
+                    bound.append({"u": u, "v": v, "distance": d, "intersection": inum})
+                if cs > inum:
+                    spread.append({"u": u, "v": v, "spread": cs, "intersection": inum})
+        system._pair_failures = (distance, bound, spread)
+    return system._pair_failures
 
 
-def _pair_count(system: SurfaceSystem) -> int:
+def _pair_claim(system: SurfaceSystem, claim: str, statement: str, which: int) -> ClaimReport:
+    """One pair claim's report: its own copy of its failures from
+    :func:`_pair_failures`, row by row, and one instance per pair."""
+    started = time.perf_counter()
+    report = ClaimReport(claim, statement)
+    report.failures = [dict(f) for f in _pair_failures(system)[which]]
     n = len(system.vertex_ids())
-    return n * (n - 1) // 2
+    report.instances = n * (n - 1) // 2
+    return _timed(report, started)
 
 
 def verify_distance_theorem(system: SurfaceSystem) -> ClaimReport:
     """Distance in the disjointness complex equals covering spread plus one,
-    for every pair of distinct vertices.
-
-    This claim owns the pair pass (:func:`_pair_pass`) that it shares with
-    :func:`verify_st_bound`: one BFS per source serves both, and its time is
-    this claim's.  The bound's failures are left on the system for
-    :func:`verify_st_bound`, which takes them once; run on its own, the bound
-    makes the pass itself."""
-    started = time.perf_counter()
-    report = ClaimReport("distance_equals_spread_plus_one",
-                         "d(u, v) = cs(u, v) + 1 for every pair of distinct vertices")
-    report.failures, system._bound_failures = _pair_pass(system)
-    report.instances = _pair_count(system)
-    return _timed(report, started)
+    for every pair of distinct vertices; an unreachable pair fails.  Its
+    failures come from the pass over the pairs that it shares with the other
+    two pair claims (:func:`_pair_failures`)."""
+    return _pair_claim(system, "distance_equals_spread_plus_one",
+                       "d(u, v) = cs(u, v) + 1 for every pair of distinct vertices", 0)
 
 
 def verify_st_bound(system: SurfaceSystem) -> ClaimReport:
-    """Distance is bounded above by intersection number plus one.
-
-    Its failures come from the pair pass that
-    :func:`verify_distance_theorem` owns, when that claim ran first on this
-    system (as :func:`run_suite` runs them); otherwise this claim makes the
-    pass."""
-    started = time.perf_counter()
-    report = ClaimReport("distance_le_intersection_plus_one",
-                         "d(u, v) <= i(u, v) + 1 for every pair of distinct vertices")
-    failures, system._bound_failures = system._bound_failures, None
-    report.failures = failures if failures is not None else _pair_pass(system)[1]
-    report.instances = _pair_count(system)
-    return _timed(report, started)
+    """Distance is bounded above by intersection number plus one; an
+    unreachable pair fails.  Its failures come from the shared pass over the
+    pairs (:func:`_pair_failures`)."""
+    return _pair_claim(system, "distance_le_intersection_plus_one",
+                       "d(u, v) <= i(u, v) + 1 for every pair of distinct vertices", 1)
 
 
 def verify_cs_le_i(system: SurfaceSystem) -> ClaimReport:
-    """Covering spread never exceeds intersection number.
-
-    Both numbers belong to the pattern, so each distinct pattern object is
-    checked once, and the pairs are walked, in order, only to list the
-    failures of an object that fails.  No BFS is needed."""
-    started = time.perf_counter()
-    report = ClaimReport("spread_le_intersection",
-                         "cs(u, v) <= i(u, v) for every pair of distinct vertices")
-    report.instances = _pair_count(system)
-    stored = system._patterns
-    numbers = system._pattern_numbers
-    # the empty pattern has 0 <= 0, so only stored objects can fail
-    objects = {id(p): p for p in stored.values()}
-    failing = {key for key, pat in objects.items() if numbers(pat)[0] > numbers(pat)[1]}
-    if failing:
-        for u, v in itertools.combinations(system.vertex_ids(), 2):
-            pat = stored.get((u, v))
-            if id(pat) in failing:
-                cs, inum = numbers(pat)
-                report.failures.append({"u": u, "v": v, "spread": cs, "intersection": inum})
-    return _timed(report, started)
+    """Covering spread never exceeds intersection number.  Its failures come
+    from the shared pass over the pairs (:func:`_pair_failures`), which reads
+    both numbers once per pattern object."""
+    return _pair_claim(system, "spread_le_intersection",
+                       "cs(u, v) <= i(u, v) for every pair of distinct vertices", 2)
 
 
 def verify_link_girth(X: FlagComplex) -> ClaimReport:
@@ -273,7 +257,12 @@ def _residue_vertices(adj, s) -> set:
 
 def verify_simple_connectivity(system: SurfaceSystem,
                                bounds: ReductionBounds = ReductionBounds()) -> ClaimReport:
-    """H1 must vanish, and every embedded cycle up to the cap must contract.
+    """The complex must be connected, H1 must vanish, and every embedded
+    cycle up to the cap must contract.
+
+    A complex is connected when its spanning forest has V - 1 edges; if it
+    has fewer, the failure names the least vertex and the least vertex it
+    cannot reach.
 
     A chord cuts a cycle into two shorter cycles, and the cycle contracts
     when both do, so by induction on length every cycle up to the cap
@@ -301,6 +290,12 @@ def verify_simple_connectivity(system: SurfaceSystem,
     X = build_complex(system)
     h1 = homology_h1(X)
     report.instances += 1
+    if len(_spanning_forest(X)) < len(X.vertices) - 1:
+        root = X.vertices[0]
+        reached = _levels(X._adj, root)
+        report.failures.append({"problem": "complex not connected",
+                                "vertices": [root, next(v for v in X.vertices
+                                                        if v not in reached)]})
     cocycles = {}  # basis index -> edge set, for the cocycles that check
     if not h1.is_trivial():
         basis = mod2_cocycles(X)
@@ -365,9 +360,9 @@ SUITES["all"] = SUITES["distance"] + SUITES["girth"] + SUITES["sc"] + SUITES["co
 def run_suite(system: SurfaceSystem, suite: str = "all",
               bounds: ReductionBounds = ReductionBounds()) -> VerificationReport:
     """Run one named suite over a system.  Every check shares the system's
-    one disjointness complex and the facts cached on it, and the distance
-    claim's one pass over the pairs serves the bound d <= i + 1 too; no
-    distance table is filled and nothing is kept per pair."""
+    one disjointness complex and the facts cached on it, and the three pair
+    claims share one pass over the pairs; no distance table is filled and
+    nothing is kept per pair."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     X = build_complex(system)

@@ -246,6 +246,39 @@ def test_verify_refuses_a_cycle_cap_below_3(capsys, tmp_path, cap):
     assert "max_cycle_len must be at least 3" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "{lattice}", "--max-steps", "-5"),
+    ("reduce", "{lattice}", "--cycle", "0_0,0_1,1_1", "--max-steps", "-1"),
+    ("gen", "graph", "--vertices", "5", "--edge-prob", "2", "-o", "{out}"),
+    ("gen", "graph", "--vertices", "5", "--edge-prob", "nan", "-o", "{out}"),
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, tmp_path, lattice_file, argv):
+    # a negative budget, or a probability outside [0, 1], is refused before
+    # any work, as a cycle cap below 3 is
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(capsys, *(a.format(lattice=lattice_file, out=out) for a in argv))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_verify_fails_a_disconnected_complex(capsys, tmp_path):
+    # two intersecting vertices: no edge, no cycle, H1 = 0, yet not connected
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "a", "complexity": [0, 0]}, {"id": "b", "complexity": [0, 0]}],
+        "patterns": [{"u": "a", "v": "b", "support_start": 1, "counts": [2]}]}),
+        encoding="utf-8")
+    report = tmp_path / "two.report.json"
+    code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "sc", "--json", str(report))
+    assert code == 1
+    assert "simple_connectivity        1          1         0             fail" in out
+    sc = next(c for c in json.loads(report.read_text(encoding="utf-8"))["claims"]
+              if c["claim"] == "simple_connectivity")
+    assert sc["failures"] == [{"problem": "complex not connected", "vertices": ["a", "b"]}]
+
+
 def test_geodesic_subcommand(capsys, line_file):
     code, out, _ = run_cli(capsys, "geodesic", line_file, "-u", "u0", "-v", "u5")
     assert code == 0

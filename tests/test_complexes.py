@@ -480,6 +480,12 @@ def test_dot_export_golden():
     assert kk.to_dot(X) == 'graph {\n  "c";\n  "a" -- "b";\n}\n'
 
 
+def test_dot_export_escapes_quotes_in_ids():
+    # an id may hold a double quote, which DOT writes as \" inside quotes
+    X = FlagComplex(['a"b', "c", 'd"'], [('a"b', "c")], max_dim=2)
+    assert kk.to_dot(X) == 'graph {\n  "d\\"";\n  "a\\"b" -- "c";\n}\n'
+
+
 def test_simplex_listing_golden():
     assert kk.simplex_listing(triangle()) == (
         "a\nb\nc\na b\na c\nb c\na b c\n")

@@ -105,6 +105,12 @@ def test_three_cycle_reduces_in_one_essential_move():
     assert len(replay(X, ("a", "b", "c"), result.moves)) == 1
 
 
+def test_negative_step_budget_is_refused():
+    # 0 is a budget of no steps; below it there is no budget to spend
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        reduce_cycle_homotopy(triangle(), ("a", "b", "c"), max_steps=-1)
+
+
 def test_hexagon_without_2_cells_is_inconclusive_at_any_bound():
     X = hexagon()
     for max_len, max_steps in ((6, 100), (12, 10_000), (20, 50_000)):

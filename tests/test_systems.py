@@ -67,6 +67,23 @@ def test_system_rejects_bad_tables():
         SurfaceSystem(verts, {("a", "b"): OffsetPattern(3, (1,))})
 
 
+def test_the_pattern_table_is_kept_in_the_order_given():
+    # nothing reads the table in order, so it is not sorted; the file is
+    verts = [(v, Complexity()) for v in "abcd"]
+    one = OffsetPattern(1, (1,))
+    given = {("c", "d"): one, ("a", "c"): one, ("b", "d"): OffsetPattern(1, (2,))}
+    system = SurfaceSystem(verts, given)
+    assert list(system.stored_patterns()) == [("c", "d"), ("a", "c"), ("b", "d")]
+    assert system.vertex_ids() == ("a", "b", "c", "d")
+    text = save_system(system)
+    assert [(p["u"], p["v"]) for p in json.loads(text)["patterns"]] == [
+        ("a", "c"), ("b", "d"), ("c", "d")]
+    assert save_system(load_system(text)) == text
+    # of two bad keys, the first given is the one refused
+    with pytest.raises(SystemFormatError, match=r"\('c', 'z'\)"):
+        SurfaceSystem(verts, {("c", "z"): one, ("a", "y"): one})
+
+
 def test_empty_id_is_refused_on_both_sides_of_a_round_trip():
     # the constructor refuses what load_system refuses, so save_system
     # never writes a file that cannot be read back
@@ -477,6 +494,12 @@ def test_graph_round_trip_rebuilds_the_input_graph():
 def test_graph_rejects_disconnected_input():
     with pytest.raises(ValueError, match="connected"):
         kk.graph_to_system(4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, 2, float("nan")])
+def test_random_connected_graph_refuses_a_probability_outside_0_1(p):
+    with pytest.raises(ValueError, match="extra_edge_prob must lie in"):
+        kk.random_connected_graph(5, p, random.Random(0))
 
 
 def test_random_connected_graph_is_deterministic_and_connected():

@@ -91,19 +91,65 @@ def _rows(reports) -> tuple:
     return tuple((r.instances, r.failures) for r in reports)
 
 
+def _assert_every_order_lists(expected, vertices: dict, table: dict) -> None:
+    """Whichever pair claim runs first makes the one pass, so the three
+    claims run in every order, each order on a fresh system over the same
+    tables, list the reference rows."""
+    claims = (verify_distance_theorem, verify_st_bound, verify_cs_le_i)
+    for order in itertools.permutations(range(3)):
+        system = kk.SurfaceSystem._from_checked(dict(vertices), table)
+        rows = {k: _rows([claims[k](system)]) for k in order}
+        assert tuple(row for k in range(3) for row in rows[k]) == expected
+
+
 @given(st.one_of(shared_pattern_systems(), connected_graph_systems()))
 def test_pair_claims_equal_the_reference_loops(system):
     expected = reference_pair_claims(system)
-    report = run_suite(system, "distance")
-    assert _rows(report.claims) == expected
-    assert system._bound_failures is None
-    # before the distance claim the bound makes its own pass; after it, the
-    # bound takes the failures that the distance claim's pass left
-    assert _rows([verify_st_bound(system)]) == expected[1:2]
-    assert _rows([verify_distance_theorem(system), verify_st_bound(system),
-                  verify_cs_le_i(system)]) == expected
-    assert system._bound_failures is None
+    assert _rows(run_suite(system, "distance").claims) == expected
     assert build_complex(system)._distances == {}
+    _assert_every_order_lists(expected, dict(system.vertex_items()), system.stored_patterns())
+
+
+def test_spread_claim_run_first_lists_the_tampered_pairs():
+    # spread 3 > intersection 2 on two pairs of one shared object
+    tampered = kk.OffsetPattern(0, (1, 0, 1))
+    vertices = {v: kk.Complexity() for v in "abcd"}
+    table = {("a", "c"): tampered, ("b", "d"): tampered}
+    expected = reference_pair_claims(kk.SurfaceSystem._from_checked(vertices, table))
+    assert [(f["u"], f["v"]) for f in expected[2][1]] == [("a", "c"), ("b", "d")]
+    _assert_every_order_lists(expected, vertices, table)
+
+
+def test_the_pair_pass_runs_once_per_system(monkeypatch):
+    calls = []
+    levels = kakimizu.verify._levels
+
+    def counted(adj, source):
+        calls.append(source)
+        return levels(adj, source)
+
+    monkeypatch.setattr(kakimizu.verify, "_levels", counted)
+    system = kk.lattice_model(4, 4)
+    first = run_suite(system, "distance")
+    assert sorted(calls) == list(system.vertex_ids())
+    calls.clear()
+    assert _rows(run_suite(system, "distance").claims) == _rows(first.claims)
+    assert calls == []
+
+
+def test_a_report_owns_its_failures():
+    # spread 3 > intersection 2 on the only pair, which the complex cannot
+    # join: each of the three claims fails
+    system = kk.SurfaceSystem._from_checked(
+        {"a": kk.Complexity(), "b": kk.Complexity()},
+        {("a", "b"): kk.OffsetPattern(0, (1, 0, 1))})
+    first = run_suite(system, "distance").claims
+    before = json.dumps(_rows(first))   # a snapshot, not the lists themselves
+    assert all(claim.failures for claim in first)
+    for claim in first:
+        claim.failures[0]["u"] = "tampered"
+        claim.failures.append({"u": "extra"})
+    assert json.dumps(_rows(run_suite(system, "distance").claims)) == before
 
 
 def test_run_suite_fills_no_distance_table_and_no_per_pair_numbers():
@@ -163,6 +209,28 @@ def test_simple_connectivity_fails_on_hexagon(hexagon_system):
     ]
     assert not report.inconclusive
     assert report.instances == 2
+
+
+def test_simple_connectivity_fails_a_disconnected_complex():
+    # two triangles and an isolated vertex: H1 = 0 and both triangles
+    # contract, but a space with three components is not simply connected
+    ids = "abcdefg"
+    triangles = ({"a", "b", "c"}, {"d", "e", "f"})
+    meets = kk.OffsetPattern(1, (2,))
+    system = kk.SurfaceSystem(
+        [(v, kk.Complexity()) for v in ids],
+        {(u, v): meets for u, v in itertools.combinations(ids, 2)
+         if not any({u, v} <= t for t in triangles)})
+    report = verify_simple_connectivity(system)
+    assert report.failures == [{"problem": "complex not connected", "vertices": ["a", "d"]}]
+    assert not report.inconclusive
+    assert report.instances == 3   # H1, then one instance per triangle
+
+
+def test_reduction_bounds_refuse_a_negative_step_budget():
+    assert ReductionBounds(max_steps=0).max_steps == 0
+    with pytest.raises(ValueError, match="max_steps must be non-negative"):
+        ReductionBounds(max_steps=-1)
 
 
 def _flagged(report):
