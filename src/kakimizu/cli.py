@@ -150,8 +150,9 @@ def _cmd_complex(args) -> int:
     print(f"vertices {len(X.vertices)} edges {len(X.edges)} "
           f"dim {X.dim}{'+' if X.dim_is_capped() else ''} {counts}".rstrip())
     if args.export_dot:
+        dot = to_dot(X)  # before the file opens, so a refused id leaves none
         with open(args.export_dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(X))
+            fh.write(dot)
     if args.export_simplices:
         with open(args.export_simplices, "w", encoding="utf-8") as fh:
             fh.write(simplex_listing(X))

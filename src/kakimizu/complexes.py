@@ -306,12 +306,15 @@ def _cycles(adj, max_len: int, min_len: int, chordless: bool):
                         stack.append(new)
 
 
-def embedded_cycles(X: FlagComplex, max_len: int, min_len: int = 3):
+def embedded_cycles(X: FlagComplex, max_len: int, min_len: int = 3,
+                    chordless: bool = False):
     """Yield every embedded cycle of length ``min_len .. max_len`` exactly
-    once, in the canonical form and order of the walk ``_cycles``."""
+    once, in the canonical form and order of the walk ``_cycles``; with
+    ``chordless``, only the cycles without a chord, still in that order, and
+    no chorded cycle is enumerated on the way."""
     if min_len < 3:
         raise ValueError("embedded cycles have at least 3 edges")
-    yield from _cycles(X._adj, max_len, min_len, False)
+    yield from _cycles(X._adj, max_len, min_len, chordless)
 
 
 def induced_cycles(X: FlagComplex, length: int):
@@ -519,8 +522,12 @@ def contractibility_report(X: FlagComplex) -> ContractibilityReport:
 
 def _dot_id(v) -> str:
     """``v`` as a quoted DOT id: ``\\"`` is the one escape DOT defines inside
-    quoted strings."""
-    return '"' + str(v).replace('"', '\\"') + '"'
+    quoted strings.  DOT has no escape for a backslash, so an id ending in one
+    would escape the closing quote; such an id is refused."""
+    text = str(v)
+    if text.endswith("\\"):
+        raise ValueError(f"vertex id {text!r} ends in a backslash, which DOT cannot quote")
+    return '"' + text.replace('"', '\\"') + '"'
 
 
 def to_dot(X: FlagComplex) -> str:

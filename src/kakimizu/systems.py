@@ -447,19 +447,22 @@ def lattice_model(width: int, height: int, a0: int = 0, b0: int = 0) -> SurfaceS
     def q(p):
         return p[0] * p[0] + p[1] * p[1] - p[0] * p[1]
 
-    decode = {vid(p): p for p in coords}
-    vertices = [(vid(p), Complexity(q(p), 0)) for p in coords]
+    ids = {p: vid(p) for p in coords}
+    decode = {v: p for p, v in ids.items()}
+    vertices = [(ids[p], Complexity(q(p), 0)) for p in coords]
     patterns, shared = {}, {}
     for p, r in itertools.combinations(coords, 2):
         d = lattice_distance(p, r)
         if d >= 2:
-            _store(patterns, shared, *canonical_pair(vid(p), vid(r)), d)
+            _store(patterns, shared, *canonical_pair(ids[p], ids[r]), d)
 
     def dcs(system, u, v):
+        # a step toward the other point stays in their bounding box, so in
+        # the window
         pu, pv = decode[u], decode[v]
         minus = _lattice_step(pv, pu)
         plus = _lattice_step(pu, pv)
-        return (vid(minus), vid(plus))
+        return (ids[minus], ids[plus])
 
     return SurfaceSystem(vertices, patterns, dcs=dcs, strict_descent=True)
 
@@ -613,7 +616,10 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
 
     Without a double curve sum backend this degrades to the generic bounded
     search of :func:`~kakimizu.homotopy.reduce_cycle_homotopy`.
+    ``max_steps = 0`` is a budget of no steps; a negative one is refused.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     X = complex if complex is not None else build_complex(system)
     start = validate_cycle(X, cycle)
     if not system.supports_dcs:

@@ -7,13 +7,14 @@ pair claims, d = cs + 1, d <= i + 1 and cs <= i, share one pass over the
 vertex pairs, made once per system by whichever of them runs first.  Only
 ``simple_connectivity`` runs a bounded homotopy search; a search that stops
 gets a third verdict, ``inconclusive``, which is never folded into pass or
-fail.  Only chordless cycles need that search: a chord cuts a cycle into two
-shorter ones, and the cycle contracts when both of them do.  A budgeted
-search cannot certify nontriviality; a mod-2 1-cocycle that pairs odd with a
-cycle does, and turns that cycle into a failure before any search is spent
-on it.  Residues need no cycle at all: in a flag complex the residue of a
-simplex is a cone, certified once per simplex from the adjacency sets.
-A disconnected complex is not simply connected, and fails that claim.
+fail.  Its sweep enumerates only chordless cycles, and never a chorded one:
+a chord cuts a cycle into two shorter ones, and the cycle contracts when
+both of them do.  A budgeted search cannot certify nontriviality; a mod-2
+1-cocycle that pairs odd with a cycle does, and turns that cycle into a
+failure before any search is spent on it.  Residues need no cycle at all:
+in a flag complex the residue of a simplex is a cone, certified once per
+simplex from the adjacency sets.  A disconnected complex is not simply
+connected, and fails that claim.
 """
 from __future__ import annotations
 
@@ -33,17 +34,16 @@ from .systems import SurfaceSystem, kakimizu_null_homotopy
 @dataclass(frozen=True)
 class ReductionBounds:
     """Budgets for ``simple_connectivity``, the one claim that sweeps
-    cycles: enumerate the whole complex's cycles up to ``max_cycle_len``
-    edges, let searches grow cycles to ``max_len`` and spend at most
-    ``max_steps`` steps per cycle.
+    cycles: enumerate the whole complex's chordless cycles up to
+    ``max_cycle_len`` edges, let searches grow cycles to ``max_len`` and
+    spend at most ``max_steps`` steps per cycle.
 
     A cap below 3 would enumerate no cycle and pass with no witness, so it is
     refused.  ``max_len`` binds only the breadth-first phase of a search: its
     greedy descent never makes a cycle longer (a cut drops a vertex, a
     substitution keeps or drops the length), which is also why the descent
-    keeps visited states of the current length only.  Only chordless cycles
-    spend steps.  ``max_steps = 0`` is a budget of no steps; a negative one
-    is refused."""
+    keeps visited states of the current length only.  ``max_steps = 0`` is a
+    budget of no steps; a negative one is refused."""
 
     max_cycle_len: int = 8
     max_len: int = 16
@@ -266,17 +266,19 @@ def verify_simple_connectivity(system: SurfaceSystem,
 
     A chord cuts a cycle into two shorter cycles, and the cycle contracts
     when both do, so by induction on length every cycle up to the cap
-    contracts once every chordless cycle up to the cap does.  Only the
-    chordless cycles, triangles included, are searched, and each needs a
-    null-homotopy witness that replays move-by-move.  A chorded cycle is
-    counted as an instance and left to the lemma, so it is never an
-    inconclusive entry.
+    contracts once every chordless cycle up to the cap does.  So the sweep
+    enumerates only the chordless cycles, triangles included, in the walk's
+    order (``embedded_cycles(..., chordless=True)``); a chorded cycle is
+    never enumerated, and is neither an instance nor an entry.  Each
+    chordless cycle needs a null-homotopy witness that replays move-by-move.
 
     When H1 is nontrivial the failure lists a basis of H^1(X; Z/2) under
     ``"cocycles"``.  Each basis cocycle that checks (even on every triangle)
-    is paired with every cycle, chorded or not, before any search: a cycle
-    it crosses an odd number of times cannot contract, so it fails, naming
-    the cocycle by its index, and is not searched.  A cocycle that does not
+    is paired with every chordless cycle before any search: a cycle it
+    crosses an odd number of times cannot contract, so it fails, naming the
+    cocycle by its index, and is not searched.  Pairing is additive over a
+    chord split, so a chorded cycle that pairs odd has an odd half, and
+    splitting on ends at a listed chordless cycle.  A cocycle that does not
     check is reported and dropped.  Chordless cycles that pair evenly with
     every cocycle (odd torsion, or trivial in homology) are reduced by the
     complexity-descent procedure when the system has a double curve sum, by
@@ -306,8 +308,7 @@ def verify_simple_connectivity(system: SurfaceSystem,
                 cocycles[k] = z
             else:
                 report.failures.append({"problem": "cocycle failed to check", "cocycle": k})
-    adj = X._adjset
-    for cycle in embedded_cycles(X, bounds.max_cycle_len):
+    for cycle in embedded_cycles(X, bounds.max_cycle_len, chordless=True):
         report.instances += 1
         if cocycles:
             k = next((k for k, z in cocycles.items() if _pairs_odd(z, cycle)), None)
@@ -315,9 +316,6 @@ def verify_simple_connectivity(system: SurfaceSystem,
                 report.failures.append({"cycle": list(cycle),
                                         "problem": "nontrivial in H1(X; Z/2)", "cocycle": k})
                 continue
-        on = set(cycle)
-        if any(len(adj[v] & on) > 2 for v in cycle):
-            continue  # chorded: the chordless cycles below the cap decide it
         result = None
         if system.supports_dcs:
             result = kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,

@@ -116,6 +116,15 @@ def test_complex_export(capsys, tmp_path, line_file):
     assert "u0" in lines and "u0 u1" in lines
 
 
+def test_dot_export_of_an_id_ending_in_a_backslash_is_a_usage_error(capsys, tmp_path):
+    path, dot = tmp_path / "backslash.json", tmp_path / "backslash.dot"
+    system = kk.SurfaceSystem([("a\\", kk.Complexity(0, 0)), ("b", kk.Complexity(0, 0))], {})
+    path.write_text(kk.save_system(system), encoding="utf-8")
+    code, _, err = run_cli(capsys, "complex", str(path), "--export-dot", str(dot))
+    assert code == 2 and "ends in a backslash" in err
+    assert not dot.exists()
+
+
 def test_links_subcommand(capsys, lattice_file):
     code, out, _ = run_cli(capsys, "links", lattice_file, "-s", "1_1")
     assert code == 0
@@ -173,9 +182,10 @@ def digest(data):
 
 
 def test_budget_stopped_verify_output_is_pinned(capsys, tmp_path):
-    # 12 of this file's 42 cycles contract and 30 pair odd with a mod-2
-    # cocycle, so any change to the cycle order, the search outcome or the
-    # cocycle basis changes these bytes
+    # the sweep enumerates this file's 13 chordless cycles (of 42 embedded
+    # ones): 6 contract and 7 pair odd with a mod-2 cocycle, so any change to
+    # the cycle order, the search outcome or the cocycle basis changes these
+    # bytes
     path, report = tmp_path / "g.json", tmp_path / "g.report.json"
     assert main(["gen", "graph", "--vertices", "12", "--seed", "6", "-o", str(path)]) == 0
     code, out, _ = run_cli(capsys, "verify", str(path), "--suite", "all",
@@ -184,16 +194,16 @@ def test_budget_stopped_verify_output_is_pinned(capsys, tmp_path):
     assert digest(path.read_bytes()) == (
         "0f9a6d48f568529fadbf2a48a8e8224eacd75faff841fa794e34233e56bcffe5")
     assert digest(out.encode()) == (
-        "f08c66e89b5b90f76524c77e0baf8051a4c5d38812c0338d90f442d6962ec464")
+        "f3a275a95f118d2191e170bf4696dffb491b5aa6cf53f842b20695f8e7e8de86")
     assert digest(report.read_bytes()) == (
-        "9cd11e374d457fc6e2f8db8ad2337a96a2025a83b651b22c184aad4f8d8e7255")
+        "f0910b37517bd92e5e1b98499f6d4dae098e038759f85551578d7015f1048365")
 
 
 @pytest.mark.parametrize("gen, file_sha, out_sha, report_sha", [
     (("lattice", "--width", "5", "--height", "5"),
      "3115447db706cfd65e4e4a8110a94b9825af5caabea0f7de6c1b6088039aabc6",
-     "b744bfef9e924c4a38ba4af2b8c746d78fcadc0e8ea3a1c815daa1896d41412f",
-     "f07b14847b264df0436b683ba5366f11a67666460c229ff278ed7d0f1ed34daa"),
+     "8119c65e8e35436bd1aa92a3c25b01f39c720452d759b32d203893e5c4377efb",
+     "22c96e6f403ab6950edf12afe2dd6e622114b06445217b3a27d43720a5b62845"),
     (("line", "--min", "0", "--max", "5"),
      "2d05755da2e7fc40d477925eb7073da5e6194cd1fe8b94adb450b9a4a3710f18",
      "4d3658f78e810d8601df5b703be348e92702be0b22bb63e870bfbd42967adc44",
@@ -213,16 +223,16 @@ def test_passing_verify_output_is_pinned(capsys, tmp_path, gen, file_sha, out_sh
 
 def test_residue_claim_ignores_the_search_budget(capsys, lattice_file):
     # each residue is certified as a cone with no search, so a one-step
-    # budget leaves only the whole-complex cycles inconclusive; of those, only
-    # the chordless cycles are searched (a chorded one is left to the chord
-    # lemma), so 25 of the 1274 stay inconclusive (1242 when every cycle was
-    # searched)
+    # budget leaves only the whole-complex cycles inconclusive; the sweep
+    # enumerates only the 57 chordless cycles of the 1274 embedded ones (a
+    # chorded one is left to the chord lemma), and 25 of them stay
+    # inconclusive (1242 when every cycle was searched)
     code, out, _ = run_cli(capsys, "verify", lattice_file, "--suite", "sc",
                            "--max-steps", "1")
     assert code == 3
     rows = [line.split() for line in out.splitlines()]
     assert ["residues_simply_connected", "113", "0", "0", "pass"] in rows
-    assert ["simple_connectivity", "1275", "0", "25", "inconclusive"] in rows
+    assert ["simple_connectivity", "58", "0", "25", "inconclusive"] in rows
 
 
 def test_residue_claim_on_a_path_has_one_instance_per_simplex(capsys, line_file):

@@ -692,6 +692,16 @@ def test_zero_step_budget_stops_with_and_without_backend():
         assert result.reason == "step budget exhausted"
 
 
+def test_negative_step_budget_is_refused_with_and_without_backend():
+    # as in reduce_cycle_homotopy and ReductionBounds: below 0 there is no
+    # budget to spend
+    model = kk.lattice_model(3, 3)
+    triangle = build_complex(model, max_dim=2).simplices(2)[0]
+    for system in (model, load_system(save_system(model))):
+        with pytest.raises(ValueError, match="max_steps must be non-negative"):
+            kakimizu_null_homotopy(system, triangle, max_steps=-1)
+
+
 def test_descent_reports_inconsistent_pattern_table():
     # square a-b-c-d whose diagonal pairs sit at distance 2 yet carry spread 2
     spread_two = OffsetPattern(1, (1, 1))

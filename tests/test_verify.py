@@ -260,11 +260,23 @@ def test_cycles_are_flagged_exactly_when_nontrivial_mod_2(system):
     report = verify_simple_connectivity(system, bounds)
     flagged = _flagged(report)
     cycles = list(kk.embedded_cycles(X, bounds.max_cycle_len))
-    assert report.instances == len(cycles) + 1
-    for cycle in cycles:
+    # the sweep enumerates only the chordless cycles, picked here by the
+    # test's own chord test
+    chordless = [c for c in cycles if not _chords(X, c)]
+    assert report.instances == len(chordless) + 1
+    assert set(flagged) <= set(chordless)
+
+    def raises(cycle):
         vector = {index[tuple(sorted(e))] for e in zip(cycle, cycle[1:] + cycle[:1])}
-        raises = _gf2_rank(boundaries + [vector], len(edges)) > base
-        assert (cycle in flagged) == raises, cycle
+        return _gf2_rank(boundaries + [vector], len(edges)) > base
+
+    for cycle in chordless:
+        assert (cycle in flagged) == raises(cycle), cycle
+    # nothing is lost: mod-2 pairing is additive over a chord split, so a
+    # nontrivial chorded cycle up to the cap has a nontrivial chordless one
+    # below it
+    if any(raises(c) for c in cycles if _chords(X, c)):
+        assert flagged
     # a flagged cycle cannot contract, so no search may claim it does
     for cycle in flagged:
         for result in (kk.kakimizu_null_homotopy(system, cycle, max_steps=20, complex=X),
@@ -327,10 +339,12 @@ def test_the_chord_lemma_only_drops_chorded_inconclusive_entries(system, cap, st
     X = build_complex(system)
     ref = reference_simple_connectivity(system, bounds)
     new = verify_simple_connectivity(system, bounds)
-    assert new.instances == ref.instances
-    assert new.failures == ref.failures
-    # a chordless cycle is searched as before; a chorded one is left to the
-    # lemma, so it is never an inconclusive entry
+    # a chordless cycle is paired and searched as before; a chorded one is
+    # never enumerated, so it is neither an instance nor an entry
+    assert new.instances == 1 + sum(1 for c in kk.embedded_cycles(X, cap)
+                                    if not _chords(X, c))
+    assert new.failures == [f for f in ref.failures
+                            if "cycle" not in f or not _chords(X, f["cycle"])]
     assert new.inconclusive == [e for e in ref.inconclusive if not _chords(X, e["cycle"])]
 
 
@@ -361,11 +375,12 @@ def test_flag_rp2_has_one_cocycle_and_keeps_searching(flag_rp2):
     assert report.failures[0]["h1"] == "Z/2"
     flagged = _flagged(report)
     assert len(flagged) == 315 and set(flagged.values()) == {0}
-    # the cycles that pair evenly are still searched: the non-strict descent
-    # stops on 116 of them with no applicable move, and the generic search
-    # it hands them to contracts all 116
+    # the 155 chordless cycles that pair evenly are still searched: the
+    # non-strict descent stops on 80 of them with no applicable move, and the
+    # generic search it hands them to contracts all 80; the 930 chorded
+    # cycles up to length 6 are never enumerated
     assert len(report.inconclusive) == 0
-    assert report.instances == 1401
+    assert report.instances == 1 + len(flagged) + 155 == 471
     assert len(report.failures) == 1 + len(flagged)
 
 
