@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cycle", required=True, metavar="ID,ID,...")
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=int, default=ReductionBounds.max_steps)
 
     p = sub.add_parser("gen", help="generate a system file")
     gen = p.add_subparsers(dest="generator", required=True)
@@ -97,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["all", "distance", "girth", "sc", "contractible"],
                    default="all")
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-    p.add_argument("--max-cycle-len", type=int, default=8)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-cycle-len", type=int, default=ReductionBounds.max_cycle_len)
+    p.add_argument("--max-steps", type=int, default=ReductionBounds.max_steps)
 
     return parser
 
@@ -222,9 +222,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     system = _load(args.file)
-    bounds = ReductionBounds(max_cycle_len=args.max_cycle_len,
-                             max_len=2 * args.max_cycle_len,
-                             max_steps=args.max_steps)
+    bounds = ReductionBounds(max_cycle_len=args.max_cycle_len, max_steps=args.max_steps)
     report = run_suite(system, args.suite, bounds)
     sys.stdout.write(report.to_table())
     if args.json:

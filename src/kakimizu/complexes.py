@@ -4,8 +4,8 @@ The disjointness complex of a family of surfaces has a simplex for every
 tuple of pairwise disjoint members, so it is determined by its 1-skeleton:
 simplices are exactly the cliques.  This module materializes cliques up to a
 dimension cap and provides the combinatorial queries the rest of the toolkit
-needs: graph distance, links, residues, largeness checks, cycle enumeration,
-and plain-text exports.
+needs: graph distance, links, largeness checks, cycle enumeration, and
+plain-text exports.
 """
 from __future__ import annotations
 
@@ -184,12 +184,6 @@ class FlagComplex:
             self._link_cycles[key] = tuple(_cycles(adj, length, length, True))
         return self._link_cycles[key]
 
-    def residue(self, simplex) -> "FlagComplex":
-        """Closure of all simplices containing ``simplex``: the join of the
-        simplex with its link."""
-        s = self.require_simplex(simplex)
-        return self.induced(set(s) | set(self.common_neighbors(*s)))
-
 
 def _levels(adj, source) -> dict:
     """BFS levels from ``source`` in the graph ``adj`` (vertex -> neighbours)."""
@@ -266,6 +260,7 @@ def _cycles(adj, max_len: int, min_len: int, chordless: bool):
     path other than its last is skipped.  Every pruned path has a chord, so
     this yields the chordless cycles of the full walk, in its order.
     """
+    max_len = min(max_len, len(adj))  # no cycle is longer than the graph
     adjset = {v: set(ns) for v, ns in adj.items()} if chordless else None
     for s in adj:
         ball = _above(adj, s, max_len // 2)
@@ -338,7 +333,7 @@ def is_k_large(X: FlagComplex, k: int):
     """
     if k < 4:
         raise ValueError("k must be at least 4")
-    for length in range(4, k):
+    for length in range(4, min(k, len(X.vertices) + 1)):  # none is longer than V
         for cycle in induced_cycles(X, length):
             return False, cycle
     return True, None

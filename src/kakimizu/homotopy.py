@@ -32,6 +32,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+# the default step budget of every null-homotopy search
+_MAX_STEPS = 100_000
+
 
 def validate_cycle(X, cycle) -> tuple:
     """Closed-walk check: known vertices, cyclically consecutive pairs are
@@ -170,11 +173,6 @@ def normalize_cycle(X, cycle):
         L = len(c)
         if L <= 1:
             break
-        if L == 2:
-            mv = ("backtrack", 0)
-            c = _apply_unchecked(c, mv)
-            moves.append(mv)
-            continue
         for i in range(L):
             if c[i] == c[(i + 2) % L]:
                 mv = ("backtrack", i)
@@ -184,6 +182,21 @@ def normalize_cycle(X, cycle):
         else:
             break
     return c, moves
+
+
+def _cut(X, c, i):
+    """The corner cut at ``i``, then backtrack erasure: (cycle, moves)."""
+    mv = ("shorten", i)
+    c, extra = normalize_cycle(X, _apply_unchecked(c, mv))
+    return c, [mv] + extra
+
+
+def _substitute(X, c, j, v):
+    """``c[j]`` swapped for ``v``, adjacent to it and its cycle neighbours: a
+    detour through ``v``, then the cut at ``c[j]`` (see ``_cut``)."""
+    mv = ("lengthen", j, v)
+    c, moves = _cut(X, _apply_unchecked(c, mv), j - 1 if j else len(c))
+    return c, [mv] + moves
 
 
 def canonical_cycle(cycle) -> tuple:
@@ -252,9 +265,8 @@ def _greedy_descend(X, c, budget):
         L = len(c)
         i = next(_shorten_candidates(X, c), None)
         if i is not None:
-            mv = ("shorten", i)
-            c, extra = normalize_cycle(X, _apply_unchecked(c, mv))
-            moves += [mv] + extra
+            c, extra = _cut(X, c, i)
+            moves += extra
             seen = None
             continue
         if seen is None:
@@ -265,10 +277,7 @@ def _greedy_descend(X, c, budget):
             for v in sorted(adj[c[i]] & adj[c[j]]):
                 if v in (c[i], c[j], c[k]) or c[k] not in adj[v]:
                     continue
-                mv1 = ("lengthen", j, v)
-                c1 = _apply_unchecked(c, mv1)
-                mv2 = ("shorten", i if i < j else L)
-                c2, extra = normalize_cycle(X, _apply_unchecked(c1, mv2))
+                c2, extra = _substitute(X, c, j, v)
                 if len(c2) == L:
                     key = canonical_cycle(c2)
                     if key in seen:
@@ -277,7 +286,7 @@ def _greedy_descend(X, c, budget):
                 else:
                     seen = None
                 c = c2
-                moves += [mv1, mv2] + extra
+                moves += extra
                 applied = True
                 break
             if applied:
@@ -288,27 +297,24 @@ def _greedy_descend(X, c, budget):
 
 
 def _one_move_neighbors(X, c, max_len):
-    """All states one essential move away, normalized, in deterministic order."""
-    out = []
+    """All (cycle, moves) one essential move from the backtrack-free ``c``,
+    normalized, in deterministic order.  A detour through ``c[i - 1]`` or
+    ``c[i + 2]`` erases to a cut already listed, so it is skipped; any other
+    leaves no backtrack."""
+    out = [_cut(X, c, i) for i in _shorten_candidates(X, c)]
     L = len(c)
-    for i in _shorten_candidates(X, c):
-        mv = ("shorten", i)
-        nc, extra = normalize_cycle(X, _apply_unchecked(c, mv))
-        out.append(([mv] + extra, nc))
-    if L + 1 <= max_len:
+    if L < max_len:
         for i in range(L):
             j = (i + 1) % L
             for v in X.common_neighbors(c[i], c[j]):
-                if v in (c[i], c[j]):
-                    continue
-                mv = ("lengthen", i, v)
-                nc, extra = normalize_cycle(X, _apply_unchecked(c, mv))
-                out.append(([mv] + extra, nc))
+                if v not in (c[i - 1], c[i], c[j], c[(j + 1) % L]):
+                    mv = ("lengthen", i, v)
+                    out.append((_apply_unchecked(c, mv), [mv]))
     return out
 
 
 def reduce_cycle_homotopy(X, cycle, max_len: int | None = None,
-                          max_steps: int = 100_000) -> HomotopyResult:
+                          max_steps: int = _MAX_STEPS) -> HomotopyResult:
     """Bounded null-homotopy search over the move graph.
 
     Backtracks are erased eagerly (they are free), then a greedy descent
@@ -335,7 +341,7 @@ def reduce_cycle_homotopy(X, cycle, max_len: int | None = None,
         key = queue.popleft()
         concrete = entries[key][0]
         steps += 1
-        for mvs, nc in _one_move_neighbors(X, concrete, max_len):
+        for nc, mvs in _one_move_neighbors(X, concrete, max_len):
             nkey = canonical_cycle(nc)
             if nkey in entries:
                 continue

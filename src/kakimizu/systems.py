@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .complexes import FlagComplex, build_complex
-from .homotopy import (HomotopyResult, _apply_unchecked, normalize_cycle,
-                       reduce_cycle_homotopy, validate_cycle)
+from .homotopy import (_MAX_STEPS, HomotopyResult, _cut, _substitute, normalize_cycle,
+                       validate_cycle)
 from .patterns import (EMPTY_PATTERN, OffsetPattern, _dualize_unchecked,
                        _intersection_unchecked, _spread_unchecked, validate_pattern)
 
@@ -45,7 +45,7 @@ class BackendContractError(RuntimeError):
 @dataclass(frozen=True, order=True)
 class Complexity:
     """Lexicographically ordered pair of non-negative integers; adds
-    componentwise so complexity sums can be compared in reduction."""
+    componentwise, for the sums of the strict-descent contract."""
 
     primary: int = 0
     secondary: int = 0
@@ -267,6 +267,10 @@ def _load_system(text: str) -> SurfaceSystem:
         raise SystemFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SystemFormatError("top level must be an object")
+    unknown = data.keys() - {"vertices", "patterns"}
+    if unknown:
+        raise SystemFormatError(
+            "unknown top-level key(s): " + ", ".join(map(repr, sorted(unknown))))
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise SystemFormatError("vertices: must be a nonempty list")
@@ -599,8 +603,8 @@ def geodesic(system: SurfaceSystem, u, v):
 _as_tuple = attrgetter("primary", "secondary")
 
 
-def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None = None,
-                           complex=None) -> HomotopyResult:
+def kakimizu_null_homotopy(system: SurfaceSystem, cycle,
+                           max_steps: int = _MAX_STEPS) -> HomotopyResult:
     """Contract a cycle by the complexity-descent procedure.
 
     Repeatedly pick a vertex of maximal complexity.  If its cycle neighbors
@@ -614,23 +618,21 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
     detour vertex checked with ``has_edge``), so they are applied without
     re-validation; ``replay`` alone certifies the result.
 
-    Without a double curve sum backend this degrades to the generic bounded
-    search of :func:`~kakimizu.homotopy.reduce_cycle_homotopy`.
-    ``max_steps = 0`` is a budget of no steps; a negative one is refused.
+    Without a double curve sum backend this raises :class:`UnsupportedBackend`;
+    :func:`~kakimizu.homotopy.reduce_cycle_homotopy` is the generic search.
+    ``max_steps = 0`` is a budget of no steps; a negative one is refused first.
     """
-    if max_steps is not None and max_steps < 0:
+    if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    X = complex if complex is not None else build_complex(system)
-    start = validate_cycle(X, cycle)
     if not system.supports_dcs:
-        return reduce_cycle_homotopy(X, start,
-                                     max_steps=100_000 if max_steps is None else max_steps)
-    budget = max_steps if max_steps is not None else max(1, 10 * len(start) * len(X.vertices))
+        raise UnsupportedBackend("this system has no double curve sum backend")
+    X = build_complex(system)
+    start = validate_cycle(X, cycle)
     c, moves = normalize_cycle(X, start)
     steps = 0
     while len(c) > 1:
         steps += 1
-        if steps > budget:
+        if steps > max_steps:
             return HomotopyResult(False, start, tuple(moves), c, steps,
                                   "step budget exhausted")
         L = len(c)
@@ -639,10 +641,8 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
         for i in order:
             a, b = c[(i - 1) % L], c[(i + 1) % L]
             if system.disjoint(a, b):
-                mv = ("shorten", (i - 1) % L)
-                c2, extra = normalize_cycle(X, _apply_unchecked(c, mv))
-                c = c2
-                moves += [mv] + extra
+                c, extra = _cut(X, c, (i - 1) % L)
+                moves += extra
                 progressed = True
                 break
             if system.spread(a, b) != 1:
@@ -657,12 +657,8 @@ def kakimizu_null_homotopy(system: SurfaceSystem, cycle, max_steps: int | None =
                     continue
                 if not (X.has_edge(cand, a) and X.has_edge(cand, b)):
                     continue
-                mv1 = ("lengthen", i, cand)
-                c1 = _apply_unchecked(c, mv1)
-                mv2 = ("shorten", (i - 1) % L if i >= 1 else L)
-                c2, extra = normalize_cycle(X, _apply_unchecked(c1, mv2))
-                c = c2
-                moves += [mv1, mv2] + extra
+                c, extra = _substitute(X, c, i, cand)
+                moves += extra
                 progressed = True
                 break
             if progressed:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .complexes import (ContractibilityReport, FlagComplex, _levels, _spanning_forest,
                         build_complex, contractibility_report, embedded_cycles,
                         homology_h1, mod2_cocycles)
-from .homotopy import (_is_mod2_cocycle, _pairs_odd, _replays_to_point,
+from .homotopy import (_MAX_STEPS, _is_mod2_cocycle, _pairs_odd, _replays_to_point,
                        reduce_cycle_homotopy)
 from .patterns import EMPTY_PATTERN
 from .systems import SurfaceSystem, kakimizu_null_homotopy
@@ -35,19 +35,18 @@ from .systems import SurfaceSystem, kakimizu_null_homotopy
 class ReductionBounds:
     """Budgets for ``simple_connectivity``, the one claim that sweeps
     cycles: enumerate the whole complex's chordless cycles up to
-    ``max_cycle_len`` edges, let searches grow cycles to ``max_len`` and
+    ``max_cycle_len`` edges, let searches grow cycles to twice that cap and
     spend at most ``max_steps`` steps per cycle.
 
     A cap below 3 would enumerate no cycle and pass with no witness, so it is
-    refused.  ``max_len`` binds only the breadth-first phase of a search: its
-    greedy descent never makes a cycle longer (a cut drops a vertex, a
-    substitution keeps or drops the length), which is also why the descent
-    keeps visited states of the current length only.  ``max_steps = 0`` is a
-    budget of no steps; a negative one is refused."""
+    refused.  The length bound binds only the breadth-first phase of a
+    search: its greedy descent never makes a cycle longer (a cut drops a
+    vertex, a substitution keeps or drops the length), which is also why the
+    descent keeps visited states of the current length only.
+    ``max_steps = 0`` is a budget of no steps; a negative one is refused."""
 
     max_cycle_len: int = 8
-    max_len: int = 16
-    max_steps: int = 100_000
+    max_steps: int = _MAX_STEPS
 
     def __post_init__(self):
         if self.max_cycle_len < 3:
@@ -318,10 +317,9 @@ def verify_simple_connectivity(system: SurfaceSystem,
                 continue
         result = None
         if system.supports_dcs:
-            result = kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,
-                                            complex=X)
+            result = kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps)
         if result is None or not (result.reduced or system.strict_descent):
-            result = reduce_cycle_homotopy(X, cycle, bounds.max_len, bounds.max_steps)
+            result = reduce_cycle_homotopy(X, cycle, 2 * bounds.max_cycle_len, bounds.max_steps)
         if not result.reduced:
             report.inconclusive.append({"cycle": list(cycle), "reason": result.reason})
         elif not _replays_to_point(X, cycle, result):

@@ -119,6 +119,12 @@ def flag_complexes(draw):
     return kk.FlagComplex(range(n), [e for e, k in zip(pairs, keep) if k], max_dim=3)
 
 
+def residue(X, s):
+    """The residue of the simplex ``s``: the closure of every simplex that
+    contains it, the join of ``s`` with its link."""
+    return X.induced(set(s) | set(X.common_neighbors(*s)))
+
+
 def reference_embedded_cycles(X, max_len, min_len=3):
     """The depth-first enumerator that ``embedded_cycles`` replaced, kept as
     its order oracle: every path from the least vertex, pruned by graph

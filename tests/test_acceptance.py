@@ -146,7 +146,7 @@ def test_criterion_07_simple_connectivity(line10, lattice7):
         X1 = kk.build_complex(lattice7, max_dim=1)
         count = 0
         for cycle in kk.embedded_cycles(X1, 8):
-            result = kk.kakimizu_null_homotopy(lattice7, cycle, complex=X1)
+            result = kk.kakimizu_null_homotopy(lattice7, cycle)
             assert result.reduced, cycle
             # replay move-by-move, confirming the excursion bound
             c = cycle
@@ -191,7 +191,7 @@ def test_criterion_09_descent_reduction_and_criterion_agreement(line10, instance
         X = kk.build_complex(line10, max_dim=1)
         walks = 0
         for walk in closed_walks(X, 8):
-            result = kk.kakimizu_null_homotopy(line10, walk, complex=X)
+            result = kk.kakimizu_null_homotopy(line10, walk)
             assert result.reduced, walk
             assert len(kk.replay(X, walk, result.moves)) <= 1
             walks += 1

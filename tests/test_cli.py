@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +258,23 @@ def test_verify_refuses_a_cycle_cap_below_3(capsys, tmp_path, cap):
     assert code == 2
     assert out == ""
     assert "max_cycle_len must be at least 3" in err
+
+
+def test_caps_far_above_the_vertex_count_end_at_once(capsys, tmp_path, line_file):
+    # no cycle is longer than the vertex count, so a cap of 10**9 does the
+    # work of that count; each run is a child process with a time limit, so
+    # a walk that loops over the whole cap fails here instead of hanging
+    lattice = tmp_path / "lattice3.json"
+    assert main(["gen", "lattice", "--width", "3", "--height", "3", "-o", str(lattice)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, cap, code in ((["verify", str(lattice), "--suite", "sc", "--max-cycle-len"],
+                             "9", 0),
+                            (["klarge", line_file, "-k"], "7", 0)):
+        proc = subprocess.run([sys.executable, "-m", "kakimizu.cli", *argv, "1000000000"],
+                              env=env, capture_output=True, text=True, timeout=20)
+        expected = run_cli(capsys, *argv, cap)
+        assert (proc.returncode, proc.stderr) == (code, "") == expected[::2]
+        assert proc.stdout == expected[1].replace(f"{cap}-large", "1000000000-large")
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ from kakimizu import FlagComplex, build_complex, embedded_cycles, induced_cycles
 
 from conftest import (complex_to_nx, connected_graph_systems, flag_complexes, flag_rp2_system,
                       random_graph_systems, reference_embedded_cycles,
-                      reference_induced_cycles)
+                      reference_induced_cycles, residue)
 
 
 def triangle():
@@ -150,7 +150,7 @@ def test_residue_is_join_of_simplex_and_link(lattice5):
     rng = random.Random(5)
     simplices = list(X.simplices())
     for s in rng.sample(simplices, 25):
-        res = X.residue(s)
+        res = residue(X, s)
         lk = X.link(s)
         assert set(res.vertices) == set(s) | set(lk.vertices)
         assert len(res.vertices) == len(s) + len(lk.vertices)
@@ -162,7 +162,7 @@ def test_residue_is_join_of_simplex_and_link(lattice5):
 
 
 def test_residue_of_vertex_in_triangle_is_whole_triangle():
-    res = triangle().residue(("b",))
+    res = residue(triangle(), ("b",))
     assert res.vertices == ("a", "b", "c")
     assert res.simplices(2) == (("a", "b", "c"),)
 
@@ -229,6 +229,17 @@ def test_chordless_embedded_cycles_are_the_filtered_reference_in_order(system, c
     X = build_complex(system)
     assert (list(embedded_cycles(X, cap, m, chordless=True))
             == [c for c in reference_embedded_cycles(X, cap, m) if not has_chord(X, c)])
+
+
+@given(connected_graph_systems(), st.integers(0, 10**6), st.integers(3, 5), st.booleans())
+def test_a_cap_above_the_vertex_count_reads_as_the_vertex_count(system, extra, m, chordless):
+    # no embedded cycle has more vertices than the graph; the same holds for
+    # largeness, whose scan stops at that length
+    X = build_complex(system)
+    V = len(X.vertices)
+    assert (list(embedded_cycles(X, V + extra, m, chordless=chordless))
+            == list(embedded_cycles(X, V, m, chordless=chordless)))
+    assert kk.is_k_large(X, max(4, V + 1) + extra) == kk.is_k_large(X, max(4, V + 1))
 
 
 def test_the_sc_suite_runs_no_all_pairs_bfs():

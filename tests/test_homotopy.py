@@ -3,16 +3,16 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import kakimizu as kk
 from kakimizu import (FlagComplex, apply_move, build_complex, canonical_cycle,
                       normalize_cycle, reduce_cycle_homotopy, replay, validate_cycle)
 from kakimizu.cli import main
-from kakimizu.homotopy import (HomotopyResult, _apply_unchecked, _greedy_descend,
-                               _replays_to_point)
+from kakimizu.homotopy import (HomotopyResult, _apply_unchecked, _cut, _greedy_descend,
+                               _one_move_neighbors, _replays_to_point, _substitute)
 
-from conftest import connected_graph_systems, flag_complexes
+from conftest import connected_graph_systems, flag_complexes, residue
 
 
 def triangle():
@@ -207,7 +207,7 @@ def test_cone_witness_replays_in_every_residue():
     def check(system):
         X = build_complex(system)
         for s in X.simplices():
-            res = X.residue(s)
+            res = residue(X, s)
             for cycle in kk.embedded_cycles(res, 6):
                 on = s[0] in cycle
                 result = _cone_homotopy(cycle, s[0])
@@ -404,6 +404,81 @@ def test_greedy_descent_matches_the_full_history_reference(system, budget):
     X = build_complex(system)
     for cycle in kk.embedded_cycles(X, 7):
         assert _greedy_descend(X, cycle, budget) == reference_greedy_descend(X, cycle, budget)
+
+
+# -- the two move helpers ------------------------------------------------------
+
+
+@st.composite
+def closed_walks(draw):
+    """A complex of ``connected_graph_systems()`` and a closed walk in it of
+    two or more vertices, backtracks allowed: a random walk, closed along a
+    shortest path back to its start."""
+    X = build_complex(draw(connected_graph_systems()))
+    picks = draw(st.lists(st.integers(0, 8), min_size=2, max_size=9))
+    walk = [X.vertices[picks[0] % len(X.vertices)]]
+    for p in picks[1:]:
+        ns = X.neighbors(walk[-1])
+        walk.append(ns[p % len(ns)])
+    walk += X.shortest_path(walk[-1], walk[0])[1:-1]
+    if walk[-1] == walk[0]:
+        walk.pop()
+    assume(len(walk) >= 2)
+    return X, tuple(walk)
+
+
+def test_cuts_and_substitutions_replay_to_the_cycle_they_return():
+    # every legal corner cut and every legal substitution, the wrap at j = 0
+    # included, checked by replay's independent checker
+    seen = set()
+
+    @given(closed_walks())
+    def check(case):
+        X, c = case
+        L = len(c)
+        for i in range(L if L >= 3 else 0):
+            k = (i + 2) % L
+            if c[i] != c[k] and X.has_edge(c[i], c[k]):
+                cycle, moves = _cut(X, c, i)
+                assert moves[0] == ("shorten", i)
+                assert replay(X, c, moves) == cycle
+                assert normalize_cycle(X, cycle) == (cycle, [])
+        for j in range(L):
+            ends = (c[j - 1], c[j], c[(j + 1) % L])
+            for v in X.common_neighbors(*ends):
+                if v in ends:
+                    continue
+                cycle, moves = _substitute(X, c, j, v)
+                assert moves[0] == ("lengthen", j, v)
+                assert replay(X, c, moves) == cycle, (c, j, v)
+                assert normalize_cycle(X, cycle) == (cycle, [])
+                seen.add(j == 0)
+
+    check()
+    assert seen == {True, False}
+
+
+@given(closed_walks(), st.integers(0, 3))
+def test_search_neighbours_are_every_move_then_erasure(case, room):
+    # the breadth-first search skips detours through a cycle neighbour; the
+    # states it reaches are still those of every cut and every detour, erased
+    X, c = case
+    c, _ = normalize_cycle(X, c)
+    assume(len(c) >= 3)
+    max_len = len(c) + room
+    expected = set()
+    for i in range(len(c)):
+        j = (i + 1) % len(c)
+        moves = [("lengthen", i, v) for v in X.common_neighbors(c[i], c[j])
+                 if v not in (c[i], c[j])] if len(c) < max_len else []
+        if c[i] != c[(i + 2) % len(c)] and X.has_edge(c[i], c[(i + 2) % len(c)]):
+            moves.append(("shorten", i))
+        for mv in moves:
+            expected.add(canonical_cycle(normalize_cycle(X, apply_move(X, c, mv))[0]))
+    out = _one_move_neighbors(X, c, max_len)
+    assert {canonical_cycle(nc) for nc, _ in out} == expected
+    for nc, moves in out:
+        assert replay(X, c, moves) == nc
 
 
 def test_lattice_witnesses_are_pinned():

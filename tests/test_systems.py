@@ -171,6 +171,21 @@ def test_load_spread_one_pair_gives_distance_two():
     assert build_complex(system).distance("a", "c") == 2
 
 
+def test_load_refuses_unknown_top_level_keys():
+    # a misspelt "patterns" used to load as a system with no pattern at all,
+    # on which every claim passed
+    vertices = [{"id": v, "complexity": [0, 0]} for v in "abc"]
+    entry = {"u": "a", "v": "c", "support_start": 1, "counts": [1]}
+    with pytest.raises(SystemFormatError, match=r"^unknown top-level key\(s\): 'pattern'$"):
+        load_system(json.dumps({"vertices": vertices, "pattern": [entry]}))
+    # every unknown key is named, in sorted order
+    with pytest.raises(SystemFormatError,
+                       match=r"^unknown top-level key\(s\): 'Patterns', 'comment'$"):
+        load_system(json.dumps({"comment": "", "vertices": vertices, "Patterns": []}))
+    system = load_system(json.dumps({"vertices": vertices, "patterns": [entry]}))
+    assert system.spread("a", "c") == 1
+
+
 def second_entry(counts):
     """Add patterns[1], the pair (a, e) with ``counts`` from translate 1,
     after the valid ``[1]`` of patterns[0]: an equal value is then already
@@ -639,7 +654,7 @@ def test_line_backtracking_walks_reduce_via_backtracks(line10):
 def test_lattice_vertex_ring_reduces_and_replays(lattice7):
     X = build_complex(lattice7, max_dim=1)
     ring = ("2_1", "2_2", "1_2", "0_1", "0_0", "1_0")
-    result = kakimizu_null_homotopy(lattice7, ring, complex=X)
+    result = kakimizu_null_homotopy(lattice7, ring)
     assert result.reduced
     assert kk.replay(X, ring, result.moves) == result.final
     assert len(result.final) <= 1
@@ -651,7 +666,7 @@ def test_lattice_vertex_ring_reduces_and_replays(lattice7):
 def test_descent_reduction_agrees_with_generic_on_lattice(lattice5):
     X = build_complex(lattice5, max_dim=1)
     for cycle in kk.embedded_cycles(X, 6):
-        result = kakimizu_null_homotopy(lattice5, cycle, complex=X)
+        result = kakimizu_null_homotopy(lattice5, cycle)
         assert result.reduced, cycle
         assert len(kk.replay(X, cycle, result.moves)) <= 1
 
@@ -662,17 +677,20 @@ def test_descent_traces_replay_in_the_verifier_complex(lattice7):
     X = build_complex(lattice7)
     kinds = set()
     for cycle in kk.embedded_cycles(X, 6):
-        result = kakimizu_null_homotopy(lattice7, cycle, complex=X)
+        result = kakimizu_null_homotopy(lattice7, cycle)
         assert _replays_to_point(X, cycle, result), cycle
         kinds.update(mv[0] for mv in result.moves)
     assert kinds == {"backtrack", "shorten", "lengthen"}
 
 
 def test_reduction_degrades_without_backend():
+    # the descent needs a double curve sum; without one the caller runs the
+    # generic search, which contracts the ring
     system = load_system(save_system(kk.lattice_model(3, 3)))
     ring = ("2_1", "2_2", "1_2", "0_1", "0_0", "1_0")
-    result = kakimizu_null_homotopy(system, ring)
-    assert result.reduced
+    with pytest.raises(UnsupportedBackend, match="no double curve sum backend"):
+        kakimizu_null_homotopy(system, ring)
+    assert kk.reduce_cycle_homotopy(build_complex(system), ring).reduced
 
 
 def test_reduction_budget_reports_inconclusive(hexagon_system):
@@ -683,18 +701,20 @@ def test_reduction_budget_reports_inconclusive(hexagon_system):
 
 
 def test_zero_step_budget_stops_with_and_without_backend():
-    # max_steps=0 is a budget of no steps on both paths, not "use the default"
+    # max_steps=0 is a budget of no steps on both paths, not "use the default":
+    # the descent with a backend, the generic search without one
     model = kk.lattice_model(3, 3)
     triangle = build_complex(model, max_dim=2).simplices(2)[0]
-    for system in (model, load_system(save_system(model))):
-        result = kakimizu_null_homotopy(system, triangle, max_steps=0)
+    loaded = load_system(save_system(model))
+    for result in (kakimizu_null_homotopy(model, triangle, max_steps=0),
+                   kk.reduce_cycle_homotopy(build_complex(loaded), triangle, max_steps=0)):
         assert not result.reduced
         assert result.reason == "step budget exhausted"
 
 
 def test_negative_step_budget_is_refused_with_and_without_backend():
     # as in reduce_cycle_homotopy and ReductionBounds: below 0 there is no
-    # budget to spend
+    # budget to spend, and that is checked before the backend is
     model = kk.lattice_model(3, 3)
     triangle = build_complex(model, max_dim=2).simplices(2)[0]
     for system in (model, load_system(save_system(model))):

@@ -22,7 +22,8 @@ from kakimizu.homotopy import _is_mod2_cocycle, _pairs_odd, _replays_to_point
 from kakimizu.verify import ClaimReport, _residue_vertices
 
 from conftest import (complex_to_nx, connected_graph_systems, flag_complexes,
-                      random_graph_systems, random_pattern, reference_pair_claims)
+                      random_graph_systems, random_pattern, reference_pair_claims,
+                      residue)
 
 NONTRIVIAL = "nontrivial in H1(X; Z/2)"
 
@@ -189,7 +190,7 @@ def test_every_residue_is_certified_as_a_cone(X):
     assert report.instances == len(X.simplices())
     assert (report.verdict, report.failures, report.inconclusive) == ("pass", [], [])
     for s in X.simplices():
-        assert set(X.residue(s).vertices) == _residue_vertices(X._adjset, s)
+        assert set(residue(X, s).vertices) == _residue_vertices(X._adjset, s)
 
 
 def test_simple_connectivity_passes_with_witnesses(lattice5):
@@ -249,7 +250,7 @@ def _gf2_rank(rows, n_cols):
 def test_cycles_are_flagged_exactly_when_nontrivial_mod_2(system):
     # oracle: a cycle is nonzero in H1(X; Z/2) iff its edge vector raises the
     # GF(2) rank of the triangle boundaries; triangles from networkx cliques
-    bounds = ReductionBounds(max_cycle_len=5, max_len=8, max_steps=20)
+    bounds = ReductionBounds(max_cycle_len=5, max_steps=20)
     X = build_complex(system, max_dim=3)
     G = complex_to_nx(X)
     edges = sorted(tuple(sorted(e)) for e in G.edges())
@@ -279,7 +280,7 @@ def test_cycles_are_flagged_exactly_when_nontrivial_mod_2(system):
         assert flagged
     # a flagged cycle cannot contract, so no search may claim it does
     for cycle in flagged:
-        for result in (kk.kakimizu_null_homotopy(system, cycle, max_steps=20, complex=X),
+        for result in (kk.kakimizu_null_homotopy(system, cycle, max_steps=20),
                        kk.reduce_cycle_homotopy(X, cycle, max_len=8, max_steps=20)):
             assert not _replays_to_point(X, cycle, result)
     h1 = kk.homology_h1(X)
@@ -315,10 +316,10 @@ def reference_simple_connectivity(system, bounds=ReductionBounds()):
             continue
         result = None
         if system.supports_dcs:
-            result = kk.kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps,
-                                               complex=X)
+            result = kk.kakimizu_null_homotopy(system, cycle, max_steps=bounds.max_steps)
         if result is None or not (result.reduced or system.strict_descent):
-            result = kk.reduce_cycle_homotopy(X, cycle, bounds.max_len, bounds.max_steps)
+            result = kk.reduce_cycle_homotopy(X, cycle, 2 * bounds.max_cycle_len,
+                                              bounds.max_steps)
         if not result.reduced:
             report.inconclusive.append({"cycle": list(cycle), "reason": result.reason})
         elif not _replays_to_point(X, cycle, result):
@@ -335,7 +336,7 @@ def _chords(X, c):
 @given(connected_graph_systems(), st.integers(4, 6), st.integers(1, 4))
 def test_the_chord_lemma_only_drops_chorded_inconclusive_entries(system, cap, steps):
     # budgets small enough that searches stop
-    bounds = ReductionBounds(max_cycle_len=cap, max_len=cap + 2, max_steps=steps)
+    bounds = ReductionBounds(max_cycle_len=cap, max_steps=steps)
     X = build_complex(system)
     ref = reference_simple_connectivity(system, bounds)
     new = verify_simple_connectivity(system, bounds)
@@ -371,7 +372,7 @@ def test_flag_rp2_has_one_cocycle_and_keeps_searching(flag_rp2):
     assert (len(X.vertices), len(X.edges), len(X.simplices(2))) == (31, 90, 60)
     assert str(kk.homology_h1(X)) == "Z/2"
     assert len(mod2_cocycles(X)) == 1
-    report = verify_simple_connectivity(flag_rp2, ReductionBounds(6, 12, 100))
+    report = verify_simple_connectivity(flag_rp2, ReductionBounds(6, 100))
     assert report.failures[0]["h1"] == "Z/2"
     flagged = _flagged(report)
     assert len(flagged) == 315 and set(flagged.values()) == {0}
@@ -459,7 +460,7 @@ def test_failure_witnesses_replay(hexagon_system):
 
 
 def test_bounds_are_overridable(lattice5):
-    tight = ReductionBounds(max_cycle_len=4, max_len=8, max_steps=10)
+    tight = ReductionBounds(max_cycle_len=4, max_steps=10)
     report = verify_simple_connectivity(lattice5, tight)
     # 3- and 4-cycles only, and the tiny budget may leave some unresolved
     assert report.verdict in ("pass", "inconclusive")
