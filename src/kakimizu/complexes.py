@@ -346,7 +346,8 @@ def is_locally_k_large(X: FlagComplex, k: int):
     if k < 4:
         raise ValueError("k must be at least 4")
     for v in X.vertices:
-        for length in range(4, k):
+        # no link cycle is longer than the link has vertices
+        for length in range(4, min(k, len(X._adj[v]) + 1)):
             for cycle in X.link_cycles(v, length):
                 return False, {"simplex": (v,), "cycle": cycle}
     return True, None

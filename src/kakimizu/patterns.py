@@ -10,6 +10,7 @@ records; covering spread and intersection number are read off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class PatternError(ValueError):
@@ -43,6 +44,22 @@ class OffsetPattern:
     def is_empty(self) -> bool:
         return not self.counts
 
+    # An object's verdict and numbers are computed on first read and kept on
+    # it, so a pattern shared by many pairs is validated and measured once.
+
+    @cached_property
+    def _problems(self) -> tuple:
+        """What :func:`validate_pattern` reports for this object, as a tuple,
+        since every reader shares it."""
+        return tuple(validate_pattern(self))
+
+    @cached_property
+    def _numbers(self) -> tuple:
+        """``(l_t - l_b, sum of counts)``, not validated, so a table adopted
+        unchecked shows an invalid pattern's numbers for the claims to report."""
+        top, bottom = _lt_lb_unchecked(self)
+        return (top - bottom, sum(self.counts))
+
 
 EMPTY_PATTERN = OffsetPattern()
 
@@ -72,7 +89,7 @@ def validate_pattern(p: OffsetPattern) -> list[str]:
 
 
 def _require_valid(p: OffsetPattern) -> None:
-    problems = validate_pattern(p)
+    problems = p._problems
     if problems:
         raise PatternError("; ".join(problems))
 
@@ -93,21 +110,17 @@ def lt_lb(p: OffsetPattern) -> tuple[int, int]:
 def covering_spread(p: OffsetPattern) -> int:
     """``l_t - l_b``.  For every valid pattern this equals ``len(counts)``."""
     _require_valid(p)
-    return _spread_unchecked(p)
+    return p._numbers[0]
 
 
 def intersection_number(p: OffsetPattern) -> int:
     """Total number of intersection curves: each lifts into exactly one
     translate pair, so the per-translate counts simply add up."""
     _require_valid(p)
-    return _intersection_unchecked(p)
+    return p._numbers[1]
 
 
-# The readers below, and the dual after dualize, trust their argument: a
-# surface system validates each pattern once, when it is built, and reads
-# its numbers and its reversed patterns through these.
-
-
+# lt_lb without the check, for OffsetPattern._numbers
 def _lt_lb_unchecked(p: OffsetPattern) -> tuple[int, int]:
     if p.is_empty():
         return (0, 0)
@@ -116,15 +129,6 @@ def _lt_lb_unchecked(p: OffsetPattern) -> tuple[int, int]:
     l_t = b if a <= 1 <= b else 0
     l_b = a - 1 if a <= 0 <= b else 0
     return (l_t, l_b)
-
-
-def _spread_unchecked(p: OffsetPattern) -> int:
-    top, bottom = _lt_lb_unchecked(p)
-    return top - bottom
-
-
-def _intersection_unchecked(p: OffsetPattern) -> int:
-    return sum(p.counts)
 
 
 def dualize(p: OffsetPattern) -> OffsetPattern:
@@ -136,10 +140,6 @@ def dualize(p: OffsetPattern) -> OffsetPattern:
     covering spread and intersection number.
     """
     _require_valid(p)
-    return _dualize_unchecked(p)
-
-
-def _dualize_unchecked(p: OffsetPattern) -> OffsetPattern:
     if p.is_empty():
         return EMPTY_PATTERN
     b = p.support_start + len(p.counts) - 1

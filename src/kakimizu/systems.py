@@ -26,8 +26,7 @@ from operator import attrgetter
 from .complexes import FlagComplex, build_complex
 from .homotopy import (_MAX_STEPS, HomotopyResult, _cut, _substitute, normalize_cycle,
                        validate_cycle)
-from .patterns import (EMPTY_PATTERN, OffsetPattern, _dualize_unchecked,
-                       _intersection_unchecked, _spread_unchecked, validate_pattern)
+from .patterns import EMPTY_PATTERN, OffsetPattern, dualize
 
 
 class SystemFormatError(ValueError):
@@ -74,18 +73,14 @@ class SurfaceSystem:
 
     Each pattern is validated once, at the boundary: here for a system built
     from Python data, in :func:`load_system` for a system read from a file.
-    Here that is once per distinct pattern object, tracked by identity, so a
-    table whose pairs share one pattern (as the models' do) validates it
-    once; an equal object is validated on its own, since ``True`` equals 1.
-    Nothing after construction validates again: spread and intersection are
-    read off the stored table unchecked, and :meth:`disjoint` is a lookup of
-    the pair's key, since only nonempty patterns are stored.
-
-    Spread and intersection are computed once per stored pattern object,
-    keyed by identity, plus once for ``EMPTY_PATTERN``, never per pair: a
-    table whose pairs share a few objects holds a few numbers, and
-    :meth:`spread` and :meth:`intersection` are two lookups.  A system has
-    at least one vertex, as a file must.  The pattern table is kept in the
+    A pattern keeps its own verdict and its own spread and intersection, each
+    computed on first read, so a table whose pairs share one pattern (as the
+    models' do) validates and measures it once; an equal object is validated
+    on its own, since ``True`` equals 1.  The system keeps no table of its
+    own for them: :meth:`spread` and :meth:`intersection` read the stored
+    pattern's numbers unchecked, and :meth:`disjoint` is a lookup of the
+    pair's key, since only nonempty patterns are stored.  A system has at
+    least one vertex, as a file must.  The pattern table is kept in the
     order it was given, since nothing reads it in order; :func:`save_system`
     sorts what it writes.
     """
@@ -98,27 +93,34 @@ class SurfaceSystem:
             if vid in verts:
                 raise SystemFormatError(f"duplicate vertex id {vid!r}")
             if not isinstance(cx, Complexity):
-                cx = Complexity(*cx)
+                try:
+                    primary, secondary = cx
+                    cx = Complexity(primary, secondary)
+                except (TypeError, ValueError):
+                    raise SystemFormatError(f"vertex {vid!r}: complexity {cx!r} must be "
+                                            "a pair of non-negative integers") from None
             verts[vid] = cx
         if not verts:
             # load_system refuses such a file, so no system may have one
             raise SystemFormatError("vertices: must be a nonempty list")
         patterns = patterns or {}
         pats = {}
-        checked = set()   # ids of the pattern objects already validated
         for key, pat in patterns.items():
+            # a 2-character string would unpack as a pair too
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise SystemFormatError(f"pattern key {key!r}: must be a pair of vertex ids")
             u, v = key
             if u not in verts or v not in verts:
                 raise SystemFormatError(f"pattern pair {key!r} mentions an unknown vertex")
             if not u < v:
                 raise SystemFormatError(f"pattern pair {key!r} is not in canonical order")
-            if pat.is_empty():
+            if not isinstance(pat, OffsetPattern):
+                raise SystemFormatError(f"pattern pair {key!r}: {pat!r} is not an OffsetPattern")
+            if not pat.counts:
                 raise SystemFormatError(f"pattern pair {key!r}: empty patterns must be omitted")
-            if id(pat) not in checked:
-                problems = validate_pattern(pat)
-                if problems:
-                    raise SystemFormatError(f"pattern pair {key!r}: " + "; ".join(problems))
-                checked.add(id(pat))
+            problems = pat._problems
+            if problems:
+                raise SystemFormatError(f"pattern pair {key!r}: " + "; ".join(problems))
             # the caller's key tuple is kept, not copied: one tuple per pair
             pats[key if type(key) is tuple else (u, v)] = pat
         self._adopt(dict(sorted(verts.items())), pats, dcs, strict_descent)
@@ -139,11 +141,6 @@ class SurfaceSystem:
         # output; the pattern table is kept in the caller's order
         self._vertices = vertices
         self._patterns = patterns
-        # id of a stored pattern object, or of EMPTY_PATTERN -> (spread,
-        # intersection); the table keeps each object alive, so its id is
-        # stable, and dualize keeps both numbers, so one entry serves both
-        # orders of every pair that shares the object
-        self._numbers = {}
         self._complexes = {}   # max_dim -> FlagComplex, filled by build_complex
         # the failures of the three pair claims, from verify's one pass over
         # the pairs, made by whichever of those claims runs first
@@ -172,12 +169,13 @@ class SurfaceSystem:
 
     def pattern(self, u, v) -> OffsetPattern:
         """Pattern of the ordered pair (u, v); the reverse of the stored
-        orientation is obtained by dualizing."""
+        orientation is obtained by :func:`~kakimizu.patterns.dualize`, which
+        refuses an invalid stored pattern."""
         self._require_pair(u, v)
         stored = self._patterns.get(canonical_pair(u, v))
         if stored is None:
             return EMPTY_PATTERN
-        return stored if u < v else _dualize_unchecked(stored)
+        return stored if u < v else dualize(stored)
 
     def disjoint(self, u, v) -> bool:
         self._require_pair(u, v)
@@ -196,16 +194,8 @@ class SurfaceSystem:
             # pair be refused
             self._require_pair(u, v)
             pat = EMPTY_PATTERN
-        return self._pattern_numbers(pat)
-
-    def _pattern_numbers(self, pat: OffsetPattern) -> tuple:
-        """(spread, intersection) of a stored pattern object or of
-        ``EMPTY_PATTERN``, computed once per object."""
-        numbers = self._numbers.get(id(pat))
-        if numbers is None:
-            numbers = self._numbers[id(pat)] = (_spread_unchecked(pat),
-                                                _intersection_unchecked(pat))
-        return numbers
+        # dualize keeps both numbers, so the stored orientation serves both
+        return pat._numbers
 
     def stored_patterns(self) -> dict:
         """A copy of the pattern table, in the order it was given."""
@@ -234,9 +224,10 @@ def load_system(text: str) -> SurfaceSystem:
     the first error is raised naming its entry (``patterns[3]: counts[1] =
     0: zero count breaks contiguity``).  Each distinct pattern value is
     validated once, when it is first seen, and every pair with that value
-    shares the one :class:`OffsetPattern`; only counts that are all exact
-    ints may share, since ``True`` and ``1.0`` compare equal to ``1``.  The
-    checked tables go to the system as they are, without a second pass.
+    shares the one :class:`OffsetPattern`, which keeps its verdict and its
+    numbers; only counts that are all exact ints may share, since ``True``
+    and ``1.0`` compare equal to ``1``.  The checked tables go to the system
+    as they are, without a second pass.
 
     The loader makes only acyclic data (decoded JSON values, tuples,
     patterns and the system's tables), which the cyclic garbage collector
@@ -323,7 +314,7 @@ def _load_system(text: str) -> SurfaceSystem:
         pat = shared.get((start, counts)) if exact else None
         if pat is None:
             pat = OffsetPattern(start, counts)
-            problems = validate_pattern(pat)
+            problems = pat._problems
             if problems:
                 raise SystemFormatError(f"patterns[{i}]: " + "; ".join(problems))
             shared[(start, counts)] = pat
@@ -370,16 +361,15 @@ def save_system(system: SurfaceSystem) -> str:
 
 def _store(patterns: dict, shared: dict, u: str, v: str, d: int) -> None:
     """Store the models' pattern of a pair at distance ``d``, ``d - 1`` unit
-    counts from translate 1, under the canonical key, dualized when the given
-    orientation flips.  Each ``(d, flip)`` is made once and shared through
-    ``shared`` by every pair that has it, so the constructor validates it
-    once; dualizing preserves validity, so the flip itself does not validate."""
+    counts from translate 1, under the canonical key; when the given
+    orientation flips, its dual, the same counts from translate ``2 - d``.
+    Each ``(d, flip)`` is made once and shared through ``shared`` by every
+    pair that has it, so the constructor validates it once."""
     key = canonical_pair(u, v)
     flip = key != (u, v)
     pat = shared.get((d, flip))
     if pat is None:
-        pat = OffsetPattern(1, (1,) * (d - 1))
-        pat = shared[(d, flip)] = _dualize_unchecked(pat) if flip else pat
+        pat = shared[(d, flip)] = OffsetPattern(2 - d if flip else 1, (1,) * (d - 1))
     patterns[key] = pat
 
 

@@ -139,20 +139,21 @@ def _pair_failures(system: SurfaceSystem) -> tuple:
     vertex pairs, made once per system and kept on it.
 
     One BFS per source, over the system's complex, with nothing kept past its
-    row: no distance table is filled.  Spread and intersection are lookups
-    per pattern object.  Returns the failures of d = cs + 1, of d <= i + 1
+    row: no distance table is filled.  Spread and intersection are read off
+    each pair's pattern, which computes them once per object and does not
+    validate them, so an invalid pattern of a table adopted unchecked fails
+    with its own numbers.  Returns the failures of d = cs + 1, of d <= i + 1
     and of cs <= i, each in pair order."""
     if system._pair_failures is None:
         adj = build_complex(system)._adj
         ids = system.vertex_ids()
         stored = system._patterns
-        numbers = system._pattern_numbers
         distance, bound, spread = [], [], []
         for i, u in enumerate(ids):
             dist = _levels(adj, u)
             for v in ids[i + 1:]:
                 d = dist.get(v)
-                cs, inum = numbers(stored.get((u, v), EMPTY_PATTERN))
+                cs, inum = stored.get((u, v), EMPTY_PATTERN)._numbers
                 if d != cs + 1:
                     distance.append({"u": u, "v": v, "distance": d, "spread": cs})
                 if d is None or d > inum + 1:

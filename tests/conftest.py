@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import kakimizu as kk
+import kakimizu.patterns
 from kakimizu.patterns import validate_pattern
 from kakimizu.systems import SystemFormatError
 
@@ -41,6 +42,21 @@ def hexagon_system():
 @pytest.fixture(scope="session")
 def hexagon_complex(hexagon_system):
     return kk.build_complex(hexagon_system, max_dim=3)
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """Every pattern whose numbers are computed during the test, in order:
+    a pattern's ``_numbers`` reads its spread through ``_lt_lb_unchecked``."""
+    seen = []
+    real = kakimizu.patterns._lt_lb_unchecked
+
+    def counting(p):
+        seen.append(p)
+        return real(p)
+
+    monkeypatch.setattr(kakimizu.patterns, "_lt_lb_unchecked", counting)
+    return seen
 
 
 # the 6-vertex real projective plane (hemi-icosahedron), 10 triangles
@@ -250,15 +266,23 @@ def reference_load_system(text):
 def reference_pair_claims(system):
     """The three pair loops that the one pair pass replaced, kept as its
     oracle: one distance table per source, from a complex of the system's
-    own, and the numbers read off each pair's pattern.  Returns each claim's
-    (instances, failures), in the order ``run_suite`` lists them."""
-    from kakimizu.patterns import _intersection_unchecked, _spread_unchecked
+    own, and the numbers read off each pair's pattern by the definitions,
+    without validating it, as the pass reads a table adopted unchecked.
+    Pairs are read in canonical order only, so no pattern is dualized.
+    Returns each claim's (instances, failures), in the order ``run_suite``
+    lists them."""
 
     def spread(u, v):
-        return _spread_unchecked(system.pattern(u, v))
+        # l_t - l_b: l_t is the top of the support if it holds 1, l_b one
+        # below its bottom if it holds 0
+        p = system.pattern(u, v)
+        if not p.counts:
+            return 0
+        a, b = p.support_start, p.support_start + len(p.counts) - 1
+        return (b if a <= 1 <= b else 0) - (a - 1 if a <= 0 <= b else 0)
 
     def intersection(u, v):
-        return _intersection_unchecked(system.pattern(u, v))
+        return sum(system.pattern(u, v).counts)
 
     ids = system.vertex_ids()
     X = kk.FlagComplex(ids, [p for p in itertools.combinations(ids, 2) if system.disjoint(*p)],

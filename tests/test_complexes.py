@@ -304,6 +304,14 @@ def test_locally_k_large_examples(lattice5):
     assert witness["cycle"] == ("a", "b", "c", "d")
 
 
+def test_locally_k_large_scans_each_link_only_up_to_its_size():
+    X = build_complex(kk.lattice_model(3, 3), max_dim=3)
+    ok, witness = kk.is_locally_k_large(X, 7)
+    assert not ok and len(witness["cycle"]) == 6
+    assert kk.is_locally_k_large(X, 10_000) == (ok, witness)
+    assert all(length <= len(X.neighbors(v)) for v, length in X._link_cycles)
+
+
 def chordless(G, max_len):
     """Chordless cycles of 4..max_len vertices in a networkx graph."""
     return [c for c in nx.chordless_cycles(G, length_bound=max_len) if len(c) >= 4]

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import kakimizu.patterns
 from kakimizu import (EMPTY_PATTERN, OffsetPattern, PatternError, covering_spread,
                       dualize, intersection_number, lt_lb, validate_pattern)
-from kakimizu.patterns import (_dualize_unchecked, _intersection_unchecked,
-                               _lt_lb_unchecked, _spread_unchecked)
+from kakimizu.patterns import _lt_lb_unchecked
 
 from conftest import random_pattern
 
@@ -116,10 +116,36 @@ def test_public_readers_validate_for_outside_callers(reader):
 
 @given(valid_patterns)
 def test_unchecked_readers_agree_with_the_public_ones(p):
+    assert p._problems == tuple(validate_pattern(p)) == ()
     assert _lt_lb_unchecked(p) == lt_lb(p)
-    assert _spread_unchecked(p) == covering_spread(p)
-    assert _intersection_unchecked(p) == intersection_number(p)
-    assert _dualize_unchecked(p) == dualize(p)
+    assert p._numbers == (covering_spread(p), intersection_number(p))
+    assert dualize(p)._numbers == p._numbers
+
+
+def test_a_pattern_is_validated_and_measured_once_per_object(monkeypatch):
+    calls = []
+    real_validate = kakimizu.patterns.validate_pattern
+
+    def counting_validate(p):
+        calls.append(p)
+        return real_validate(p)
+
+    monkeypatch.setattr(kakimizu.patterns, "validate_pattern", counting_validate)
+    p, q = OffsetPattern(0, (1, 2)), OffsetPattern(0, (1, 2))
+    for reader in (lt_lb, covering_spread, intersection_number, dualize) * 2:
+        reader(p)
+    assert calls == [p] and calls[0] is p
+    assert p._numbers is p._numbers == (2, 3)
+    covering_spread(q)   # an equal object keeps its own verdict
+    assert len(calls) == 2 and calls[1] is q
+    bad = OffsetPattern(3, (1, 1))
+    for _ in range(2):
+        with pytest.raises(PatternError, match="support misses"):
+            covering_spread(bad)
+    assert calls[2:] == [bad]
+    # read unchecked: the numbers of an invalid pattern are what it stores
+    assert bad._numbers == (0, 2)
+    assert OffsetPattern(0, (1, 0, 1))._numbers == (3, 2)
 
 
 # -- covering spread ---------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+from collections import namedtuple
 
 import networkx as nx
 import pytest
@@ -356,15 +357,66 @@ def test_load_leaves_the_garbage_collector_as_it_found_it(text, refused, enabled
         (gc.enable if was else gc.disable)()
 
 
-def test_numbers_are_kept_once_per_pattern_object(lattice7):
+def test_numbers_are_kept_once_per_pattern_object(measured, lattice7):
     for system in (load_system(save_system(lattice7)), kk.line_model(0, 12),
                    kk.graph_to_system(6, [(i, (i + 1) % 6) for i in range(6)])):
+        measured.clear()
         ids = system.vertex_ids()
         for u, v in itertools.permutations(ids, 2):
             system.spread(u, v)
             system.intersection(u, v)
-        objects = {id(p) for p in system.stored_patterns().values()}
-        assert set(system._numbers) == objects | {id(EMPTY_PATTERN)}
+        stored = system.stored_patterns().values()
+        objects = {id(p): p for p in stored}
+        # each stored object once, and EMPTY_PATTERN at most once ever
+        assert len({id(p) for p in measured}) == len(measured)
+        assert {id(p) for p in measured} - {id(EMPTY_PATTERN)} == set(objects)
+        assert all("_numbers" in vars(p) for p in objects.values())
+        # the system keeps no table that grows with its pairs but the patterns
+        assert [k for k, v in vars(system).items()
+                if isinstance(v, dict) and len(v) >= len(stored)] == ["_patterns"]
+
+
+@pytest.mark.parametrize("model", [lambda: kk.line_model(0, 12),
+                                   lambda: kk.graph_to_system(12, [(i, i + 1) for i in range(11)])],
+                         ids=["line", "path graph"])
+def test_model_patterns_read_d_minus_one_unit_counts_from_translate_one(model):
+    # both models list pairs whose ids sort against their order ("u10" <
+    # "u9"), so some stored patterns are the flipped, dual orientation
+    system = model()
+    ids = sorted(system.vertex_ids(), key=lambda x: int(x[1:]))
+    flipped = 0
+    for (m, u), (n, v) in itertools.combinations(enumerate(ids), 2):
+        expected = OffsetPattern(1, (1,) * (n - m - 1)) if n - m >= 2 else EMPTY_PATTERN
+        assert system.pattern(u, v) == expected
+        assert system.pattern(v, u) == kk.dualize(expected)
+        flipped += n - m >= 2 and v < u
+    assert flipped
+
+
+@pytest.mark.parametrize("vertices, patterns, message", [
+    ([("a", (0, 0)), ("b", (0, 0)), ("c", (0, 0))],
+     {("a", "b", "c"): OffsetPattern(1, (1,))},
+     r"^pattern key \('a', 'b', 'c'\): must be a pair of vertex ids$"),
+    ([("a", (0, 0)), ("b", (0, 0))],
+     {"ab": OffsetPattern(1, (1,))},
+     r"^pattern key 'ab': must be a pair of vertex ids$"),
+    ([("a", (0, 0)), ("b", (0, 0))],
+     {("a", "b"): (1, (1,))},
+     r"^pattern pair \('a', 'b'\): \(1, \(1,\)\) is not an OffsetPattern$"),
+    ([("a", (0, 0, 0)), ("b", (0, 0))],
+     {},
+     r"^vertex 'a': complexity \(0, 0, 0\) must be a pair of non-negative integers$"),
+], ids=["3-tuple key", "string key", "tuple pattern", "3-entry complexity"])
+def test_constructor_refuses_malformed_python_input(vertices, patterns, message):
+    with pytest.raises(SystemFormatError, match=message):
+        SurfaceSystem(vertices, patterns)
+
+
+def test_constructor_reads_a_tuple_subclass_key_as_a_plain_pair():
+    Pair = namedtuple("Pair", "u v")
+    system = SurfaceSystem([("a", (0, 0)), ("b", (0, 0))], {Pair("a", "b"): OffsetPattern(1, (1,))})
+    assert [type(k) for k in system.stored_patterns()] == [tuple]
+    assert system.spread("b", "a") == 1
 
 
 def test_load_rejects_garbage():

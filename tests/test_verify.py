@@ -11,7 +11,6 @@ from sympy.polys.matrices import DomainMatrix
 import kakimizu as kk
 import kakimizu.homology
 import kakimizu.patterns
-import kakimizu.systems
 import kakimizu.verify
 from kakimizu import (FlagComplex, ReductionBounds, build_complex,
                       mod2_cocycles, run_suite, verify_contractible_2d,
@@ -153,12 +152,33 @@ def test_a_report_owns_its_failures():
     assert json.dumps(_rows(run_suite(system, "distance").claims)) == before
 
 
-def test_run_suite_fills_no_distance_table_and_no_per_pair_numbers():
+def test_run_suite_fills_no_distance_table_and_no_per_pair_numbers(measured):
     system = kk.load_system(kk.save_system(kk.lattice_model(6, 6)))
     assert run_suite(system, "all").verdict == "pass"
     assert build_complex(system)._distances == {}
-    objects = {id(p) for p in system.stored_patterns().values()}
-    assert len(system._numbers) <= len(objects) + 1 < len(system.stored_patterns())
+    stored = system.stored_patterns().values()
+    objects = {id(p) for p in stored}
+    # numbers once per pattern object (and EMPTY_PATTERN at most once ever),
+    # not per pair, and kept on the objects, not on the system
+    assert len({id(p) for p in measured}) == len(measured) <= len(objects) + 1 < len(stored)
+    assert {id(p) for p in measured} - {id(kk.EMPTY_PATTERN)} == objects
+    assert [k for k, v in vars(system).items()
+            if isinstance(v, dict) and len(v) >= len(stored)] == ["_patterns"]
+
+
+def test_an_invalid_pattern_adopted_unchecked_fails_with_its_stored_numbers():
+    # spread 3 > intersection 2, read off the stored pattern without a check
+    tampered = kk.OffsetPattern(0, (1, 0, 1))
+    system = kk.SurfaceSystem._from_checked({v: kk.Complexity() for v in "abc"},
+                                            {("a", "c"): tampered})
+    report = verify_cs_le_i(system)
+    assert report.verdict == "fail"
+    assert report.failures == [{"u": "a", "v": "c", "spread": 3, "intersection": 2}]
+    assert (system.spread("c", "a"), system.intersection("c", "a")) == (3, 2)
+    # the stored orientation is returned as it is; its dual is not made
+    assert system.pattern("a", "c") is tampered
+    with pytest.raises(kk.PatternError, match=r"counts\[1\] = 0: zero count breaks contiguity"):
+        system.pattern("c", "a")
 
 
 def test_link_girth_on_lattice(lattice7):
@@ -530,9 +550,8 @@ def test_patterns_are_validated_once_at_the_boundary_and_never_in_run_suite(monk
         calls.append(p)
         return real_validate(p)
 
-    # both bindings: the one in patterns serves its public readers
+    # the one binding: a pattern validates itself through it, on first read
     monkeypatch.setattr(kakimizu.patterns, "validate_pattern", counting_validate)
-    monkeypatch.setattr(kakimizu.systems, "validate_pattern", counting_validate)
     system = kk.load_system(text)
     # one call per distinct value, and its pairs share the validated object
     stored = system.stored_patterns().values()
@@ -548,3 +567,6 @@ def test_patterns_are_validated_once_at_the_boundary_and_never_in_run_suite(monk
     line = kk.line_model(0, 12)
     stored = line.stored_patterns().values()
     assert len(calls) == len({id(p) for p in stored}) == len(set(stored)) < len(stored)
+    calls.clear()
+    assert run_suite(line, "all").verdict == "pass"
+    assert calls == []
